@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "bench_json.h"
-#include "common/thread_pool.h"
 #include "data/registry.h"
 #include "dataframe/kernels.h"
 #include "dataframe/ops.h"
@@ -175,8 +174,8 @@ void BM_Filter1M_NumericRange_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kLe,
-                                Value(int64_t{1024}), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kLe, Value(int64_t{1024}),
+                          &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -204,8 +203,8 @@ void BM_Filter1M_StringEq_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kEq,
-                                Value(std::string("SYN")), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kEq,
+                          Value(std::string("SYN")), &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -233,8 +232,8 @@ void BM_Filter1M_Contains_Kernel(benchmark::State& state) {
   FilterKernelStats stats;
   for (auto _ : state) {
     stats = {};
-    auto out = FilterRowsKernel(t, rows, col, CompareOp::kContains,
-                                Value(std::string("ACK")), &stats);
+    auto out = FilterRows(t, rows, col, CompareOp::kContains,
+                          Value(std::string("ACK")), &stats);
     benchmark::DoNotOptimize(out.value().size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
@@ -261,26 +260,12 @@ void BM_GroupBy1M_Count_Kernel(benchmark::State& state) {
   GroupSpec spec;
   spec.group_columns = {t.FindColumn("source_ip")};
   for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, nullptr);
+    auto out = GroupAggregate(t, rows, spec);
     benchmark::DoNotOptimize(out.value().groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_GroupBy1M_Count_Kernel);
-
-void BM_GroupBy1M_Count_Parallel(benchmark::State& state) {
-  const Table& t = *MillionRowDataset().table;
-  auto rows = AllRows(t).value();
-  ThreadPool pool(ThreadPool::DefaultThreads(4));
-  GroupSpec spec;
-  spec.group_columns = {t.FindColumn("source_ip")};
-  for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, &pool);
-    benchmark::DoNotOptimize(out.value().groups.size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupBy1M_Count_Parallel);
 
 void BM_GroupBy1M_Avg_Scalar(benchmark::State& state) {
   const Table& t = *MillionRowDataset().table;
@@ -305,28 +290,12 @@ void BM_GroupBy1M_Avg_Kernel(benchmark::State& state) {
   spec.agg = AggFunc::kAvg;
   spec.agg_column = t.FindColumn("length");
   for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, nullptr);
+    auto out = GroupAggregate(t, rows, spec);
     benchmark::DoNotOptimize(out.value().groups.size());
   }
   state.SetItemsProcessed(state.iterations() * t.num_rows());
 }
 BENCHMARK(BM_GroupBy1M_Avg_Kernel);
-
-void BM_GroupBy1M_Avg_Parallel(benchmark::State& state) {
-  const Table& t = *MillionRowDataset().table;
-  auto rows = AllRows(t).value();
-  ThreadPool pool(ThreadPool::DefaultThreads(4));
-  GroupSpec spec;
-  spec.group_columns = {t.FindColumn("source_ip")};
-  spec.agg = AggFunc::kAvg;
-  spec.agg_column = t.FindColumn("length");
-  for (auto _ : state) {
-    auto out = GroupAggregateKernel(t, rows, spec, &pool);
-    benchmark::DoNotOptimize(out.value().groups.size());
-  }
-  state.SetItemsProcessed(state.iterations() * t.num_rows());
-}
-BENCHMARK(BM_GroupBy1M_Avg_Parallel);
 
 }  // namespace
 }  // namespace atena

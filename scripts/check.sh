@@ -39,7 +39,7 @@ cmake -B "$repo/build-tsan" -S "$repo" -DATENA_SANITIZE=thread
 cmake --build "$repo/build-tsan" -j "$jobs" \
   --target thread_pool_test parallel_trainer_test display_cache_test \
            checkpoint_test guardrails_test serve_test serve_faults_test \
-           serve_journal_test index_test dataframe_test
+           serve_journal_test index_test
 # Only the binaries that actually spin up threads (the pool itself, the
 # parallel trainer's stepping path, the shared display cache, the
 # thread-crossing checkpoint resume, the guardrail fault-injection
@@ -47,11 +47,13 @@ cmake --build "$repo/build-tsan" -j "$jobs" \
 # runtime's parallel environment stepping plus its fault-injection
 # matrix — quarantine/deadline/shed/reload under worker threads — the
 # display-vector index exercised through the multi-threaded serve path
-# and the shared notebook store, and the parallel group-by kernels) —
-# TSan's ~10x slowdown makes a full suite sweep disproportionate.
+# and the shared notebook store) — TSan's ~10x slowdown makes a full
+# suite sweep disproportionate. dataframe_test starts no threads (the
+# group-by and filter kernels are serial), so only the ASan/UBSan sweeps
+# run it.
 TSAN_OPTIONS="halt_on_error=1" \
   ctest --test-dir "$repo/build-tsan" --output-on-failure -j "$jobs" \
     --timeout "$test_timeout" \
-    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test|dataframe_test'
+    -R 'thread_pool_test|parallel_trainer_test|display_cache_test|checkpoint_test|guardrails_test|serve_test|serve_faults_test|serve_journal_test|index_test'
 
 echo "== all checks passed =="

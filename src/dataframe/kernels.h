@@ -10,41 +10,6 @@
 
 namespace atena {
 
-class ThreadPool;
-
-/// Chunk-level accounting of one FilterRowsKernel call, for benchmarks and
-/// tests. A chunk is "skipped" when its zone map proves no selected row can
-/// match, and "all-match" when it proves every selected row matches (those
-/// rows are emitted without per-row tests). The remainder are "scanned".
-struct FilterKernelStats {
-  int64_t chunks_total = 0;
-  int64_t chunks_skipped = 0;
-  int64_t chunks_all_match = 0;
-  int64_t chunks_scanned = 0;
-
-  double skip_rate() const {
-    return chunks_total == 0 ? 0.0
-                             : static_cast<double>(chunks_skipped) /
-                                   static_cast<double>(chunks_total);
-  }
-};
-
-/// Chunked selection-vector filter. Walks `rows` chunk by chunk, consulting
-/// the column's zone maps (ColumnChunkStats) to skip chunks that cannot
-/// match and bulk-emit chunks that provably match, with a branch-light inner
-/// loop (unconditional store + increment-by-match) for the rest. String
-/// kEq/kNeq compare int32 dictionary ids against per-chunk code ranges;
-/// kContains/kStartsWith/kEndsWith evaluate the predicate once per
-/// dictionary entry and reduce the per-row test to a byte load. Validation,
-/// error statuses, and output are identical to ScalarFilterRows
-/// (bit-identical selection vectors, test-enforced); unsorted row lists
-/// fall back to an exact flat scan.
-Result<std::vector<int32_t>> FilterRowsKernel(const Table& table,
-                                              const std::vector<int32_t>& rows,
-                                              int column, CompareOp op,
-                                              const Value& term,
-                                              FilterKernelStats* stats = nullptr);
-
 /// Retained scalar reference for FilterRows: the pre-kernel per-row scan.
 /// Kept (not just for tests) as the semantic baseline the kernel must match
 /// bit-for-bit; benchmarks report kernel speedup against it.
@@ -52,21 +17,6 @@ Result<std::vector<int32_t>> ScalarFilterRows(const Table& table,
                                               const std::vector<int32_t>& rows,
                                               int column, CompareOp op,
                                               const Value& term);
-
-/// Partitioned group-by. The selection is cut into fixed-size contiguous
-/// partitions (a function of row count only, never of thread count); each
-/// partition builds a local open-addressing table (parallel on `pool` when
-/// given, serial otherwise), and the locals are merged serially in partition
-/// order — which reproduces the scalar reference's row-encounter discovery
-/// order exactly. Member-row fill and aggregation run in selection order per
-/// group, so SUM/AVG accumulate in the scalar order and the result is
-/// bit-identical to ScalarGroupAggregate at any thread count. A dense
-/// fast path covers single-column group-bys over dictionary codes (strings)
-/// or small-range int64s.
-Result<GroupedResult> GroupAggregateKernel(const Table& table,
-                                           const std::vector<int32_t>& rows,
-                                           const GroupSpec& spec,
-                                           ThreadPool* pool = nullptr);
 
 /// Retained scalar reference for GroupAggregate (single-threaded
 /// row-encounter-order hash group-by).

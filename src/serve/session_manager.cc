@@ -352,47 +352,34 @@ int SessionManager::Tick() {
   for (const std::vector<int>& members : groups) {
     Session& first = *sessions_[static_cast<size_t>(members.front())];
     TwofoldPolicy* policy = first.snapshot->policy();
-    if (options_.batched_acting) {
-      // Pad the batch up to the forward pass's 4-row register-tile width
-      // so a draining runtime (1–3 live sessions) keeps the tiled GEMM
-      // instead of falling back to per-row dot products. GEMM rows are
-      // independent, and a padded row carries a null Rng, so live rows'
-      // results are bit-identical with or without padding; padded outputs
-      // are dropped.
-      constexpr int kTileRows = 4;
-      const int count = static_cast<int>(members.size());
-      const int rows = std::max(count, kTileRows);
-      obs_batch_.Resize(rows, first.snapshot->observation_dim());
-      rngs_.assign(static_cast<size_t>(rows), nullptr);
-      for (int r = 0; r < count; ++r) {
-        Session& s = *sessions_[static_cast<size_t>(members[static_cast<size_t>(r)])];
-        std::copy(s.observation.begin(), s.observation.end(),
-                  obs_batch_.RowPtr(r));
-        if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
-          rngs_[static_cast<size_t>(r)] = &s.act_rng;
-        }
+    // Pad the batch up to the forward pass's 4-row register-tile width
+    // so a draining runtime (1–3 live sessions) keeps the tiled GEMM
+    // instead of falling back to per-row dot products. GEMM rows are
+    // independent, and a padded row carries a null Rng, so live rows'
+    // results are bit-identical with or without padding; padded outputs
+    // are dropped.
+    constexpr int kTileRows = 4;
+    const int count = static_cast<int>(members.size());
+    const int rows = std::max(count, kTileRows);
+    obs_batch_.Resize(rows, first.snapshot->observation_dim());
+    rngs_.assign(static_cast<size_t>(rows), nullptr);
+    for (int r = 0; r < count; ++r) {
+      Session& s = *sessions_[static_cast<size_t>(members[static_cast<size_t>(r)])];
+      std::copy(s.observation.begin(), s.observation.end(),
+                obs_batch_.RowPtr(r));
+      if (!s.config.greedy && s.stage < DegradeStage::kGreedy) {
+        rngs_[static_cast<size_t>(r)] = &s.act_rng;
       }
-      for (int r = count; r < rows; ++r) {
-        std::copy(obs_batch_.RowPtr(0),
-                  obs_batch_.RowPtr(0) + obs_batch_.cols(),
-                  obs_batch_.RowPtr(r));
-      }
-      std::vector<PolicyStep> group_acts = policy->ActBatch(obs_batch_, rngs_);
-      for (int r = 0; r < count; ++r) {
-        acts[static_cast<size_t>(members[static_cast<size_t>(r)])] =
-            std::move(group_acts[static_cast<size_t>(r)]);
-      }
-    } else {
-      // Baseline path: one forward per session (what bench_serve compares
-      // the batched path against).
-      for (int idx : members) {
-        Session& s = *sessions_[static_cast<size_t>(idx)];
-        const bool greedy =
-            s.config.greedy || s.stage >= DegradeStage::kGreedy;
-        acts[static_cast<size_t>(idx)] =
-            greedy ? policy->ActGreedy(s.observation)
-                   : policy->Act(s.observation, &s.act_rng);
-      }
+    }
+    for (int r = count; r < rows; ++r) {
+      std::copy(obs_batch_.RowPtr(0),
+                obs_batch_.RowPtr(0) + obs_batch_.cols(),
+                obs_batch_.RowPtr(r));
+    }
+    std::vector<PolicyStep> group_acts = policy->ActBatch(obs_batch_, rngs_);
+    for (int r = 0; r < count; ++r) {
+      acts[static_cast<size_t>(members[static_cast<size_t>(r)])] =
+          std::move(group_acts[static_cast<size_t>(r)]);
     }
   }
 

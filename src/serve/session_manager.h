@@ -120,16 +120,15 @@ struct ServeFaultInjection {
       step_duration_nanos;
 };
 
-/// Runtime knobs of a SessionManager. The fault-domain knobs (deadline,
-/// admission cap, watermark) change which sessions are served or degraded
-/// — but never the trace of a session they leave alone.
+/// Runtime knobs of a SessionManager. Acting has no knob: every tick is
+/// one batched forward across the live sessions, and
+/// ServeSingleSessionSerial is the one-forward-per-step reference. The
+/// fault-domain knobs (deadline, admission cap, watermark) change which
+/// sessions are served or degraded — but never the trace of a session they
+/// leave alone.
 struct ServeOptions {
   /// Worker threads for environment stepping; 0 = all hardware cores.
   int num_threads = 0;
-  /// One batched forward per tick across every pending session (the point
-  /// of this runtime). False falls back to one forward per session per
-  /// tick — the baseline bench_serve measures the speedup against.
-  bool batched_acting = true;
   /// The display cache shared by all sessions (capacity 0 disables it).
   size_t cache_capacity = size_t{1} << 16;
   int cache_shards = 8;

@@ -4,7 +4,6 @@
 #include <map>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "data/registry.h"
 #include "dataframe/kernels.h"
 #include "dataframe/ops.h"
@@ -161,9 +160,6 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
     ASSERT_TRUE(dataset.ok()) << dataset.status();
     const Table& t = *dataset.value().table;
     const std::vector<int32_t> all = AllRows(t).value();
-    ThreadPool pool2(2);
-    ThreadPool pool4(4);
-    const std::vector<ThreadPool*> pools = {nullptr, &pool2, &pool4};
 
     int first_numeric = -1;
     for (int c = 0; c < t.num_columns(); ++c) {
@@ -196,7 +192,7 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       }
       for (const auto& [op, term] : preds) {
         auto scalar = ScalarFilterRows(t, all, c, op, term);
-        auto kernel = FilterRowsKernel(t, all, c, op, term);
+        auto kernel = FilterRows(t, all, c, op, term);
         ASSERT_TRUE(scalar.ok()) << scalar.status();
         ASSERT_TRUE(kernel.ok()) << kernel.status();
         EXPECT_EQ(kernel.value(), scalar.value())
@@ -204,16 +200,14 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
             << t.column_name(c) << " op " << CompareOpSymbol(op);
       }
 
-      // COUNT(*) grouped by this column at every thread count.
+      // COUNT(*) grouped by this column.
       GroupSpec spec;
       spec.group_columns = {c};
       auto scalar_g = ScalarGroupAggregate(t, all, spec);
       ASSERT_TRUE(scalar_g.ok());
-      for (ThreadPool* pool : pools) {
-        auto kernel_g = GroupAggregateKernel(t, all, spec, pool);
-        ASSERT_TRUE(kernel_g.ok());
-        ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
-      }
+      auto kernel_g = GroupAggregate(t, all, spec);
+      ASSERT_TRUE(kernel_g.ok());
+      ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
     }
 
     // One AVG display over the first numeric column, grouped by the first
@@ -232,11 +226,9 @@ TEST_P(KernelAbTest, DisplaysBitIdenticalScalarVsKernel) {
       avg.agg_column = first_numeric;
       auto scalar_g = ScalarGroupAggregate(t, all, avg);
       ASSERT_TRUE(scalar_g.ok());
-      for (ThreadPool* pool : pools) {
-        auto kernel_g = GroupAggregateKernel(t, all, avg, pool);
-        ASSERT_TRUE(kernel_g.ok());
-        ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
-      }
+      auto kernel_g = GroupAggregate(t, all, avg);
+      ASSERT_TRUE(kernel_g.ok());
+      ExpectGroupedBitIdenticalAb(kernel_g.value(), scalar_g.value());
     }
   }
 }

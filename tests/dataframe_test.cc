@@ -7,7 +7,6 @@
 
 #include "common/file_io.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "dataframe/csv.h"
 #include "dataframe/kernels.h"
 #include "dataframe/ops.h"
@@ -752,7 +751,7 @@ TEST(KernelParityTest, FilterMatchesScalarOnRandomTables) {
     for (const auto& c : cases) {
       for (const auto& rows : selections) {
         auto scalar = ScalarFilterRows(*t, rows, c.column, c.op, c.term);
-        auto kernel = FilterRowsKernel(*t, rows, c.column, c.op, c.term);
+        auto kernel = FilterRows(*t, rows, c.column, c.op, c.term);
         ASSERT_TRUE(scalar.ok());
         ASSERT_TRUE(kernel.ok());
         EXPECT_EQ(kernel.value(), scalar.value())
@@ -782,7 +781,7 @@ TEST(KernelParityTest, FilterErrorsMatchScalar) {
   };
   for (const auto& c : cases) {
     auto scalar = ScalarFilterRows(*t, rows, c.column, c.op, c.term);
-    auto kernel = FilterRowsKernel(*t, rows, c.column, c.op, c.term);
+    auto kernel = FilterRows(*t, rows, c.column, c.op, c.term);
     ASSERT_FALSE(scalar.ok());
     ASSERT_FALSE(kernel.ok());
     EXPECT_EQ(kernel.status(), scalar.status());
@@ -822,30 +821,110 @@ void ExpectGroupedBitIdentical(const GroupedResult& a,
   }
 }
 
-TEST(KernelParityTest, GroupAggregateMatchesScalarAtAnyThreadCount) {
-  constexpr int64_t kRows = 3 * kColumnChunkSize + 777;
-  TablePtr t = MakeRandomTable(11, kRows);
-  const auto selections = StressSelections(kRows, 11);
+/// Group-by edge cases at the kernel's internal boundaries, over more than
+/// 2^16 rows (a multiple of neither the chunk size nor 2^16):
+///   0 edge   int64, range exactly 65534: 2^16 dense slots with the null
+///            slot, the largest range the dense path takes;
+///   1 wide   int64, range 65535: one value wider, so it is hashed;
+///   2 neg    int64 over a negative base beyond int32 range (dense path);
+///   3 late   int64 whose values 7..10 first appear after row 65536;
+///   4 label  string whose "c" first appears after row 65536;
+///   5 zero   double keys 0.0 / -0.0 / 1.5 / 2.5, where -0.0 (distinct
+///            raw bits from 0.0 but a ValueLess tie with it) first
+///            appears after row 65536, so the output's order of tied keys
+///            exposes the pre-sort discovery order;
+///   6 x      double aggregate input.
+/// Rows 0 and 1 pin each ranged column's minimum and maximum so the zone
+/// maps see exactly the intended range; nulls sit elsewhere.
+TablePtr MakeGroupBoundaryTable() {
+  constexpr int64_t kRows = 2 * 65536 + 4321;
+  constexpr int64_t kLate = 65536;
+  Rng rng(29);
+  ColumnBuilder edge("edge", DataType::kInt64);
+  ColumnBuilder wide("wide", DataType::kInt64);
+  ColumnBuilder neg("neg", DataType::kInt64);
+  ColumnBuilder late("late", DataType::kInt64);
+  ColumnBuilder label("label", DataType::kString);
+  ColumnBuilder zero("zero", DataType::kFloat64);
+  ColumnBuilder x("x", DataType::kFloat64);
+  const char* const labels[] = {"a", "b", "c"};
+  const double early_zero[] = {0.0, 1.5};
+  const double late_zero[] = {-0.0, 0.0, 2.5};
+  auto ranged = [](int64_t r, int64_t range) {
+    if (r == 0) return int64_t{0};
+    if (r == 1) return range;
+    return (r * 7919) % (range + 1);
+  };
+  for (int64_t r = 0; r < kRows; ++r) {
+    const bool null_row = r > 1 && r % 101 == 100;
+    if (null_row) {
+      edge.AppendNull();
+      wide.AppendNull();
+      neg.AppendNull();
+    } else {
+      EXPECT_TRUE(edge.AppendInt(1000 + ranged(r, 65534)).ok());
+      EXPECT_TRUE(wide.AppendInt(1000 + ranged(r, 65535)).ok());
+      EXPECT_TRUE(neg.AppendInt(-3'000'000'000 + ranged(r, 999)).ok());
+    }
+    EXPECT_TRUE(late.AppendInt(r < kLate ? r % 7 : r % 11).ok());
+    EXPECT_TRUE(label.AppendString(labels[r % (r < kLate ? 2 : 3)]).ok());
+    EXPECT_TRUE(
+        zero.AppendDouble(r < kLate ? early_zero[r % 2] : late_zero[r % 3])
+            .ok());
+    if (rng.NextBool(0.1)) {
+      x.AppendNull();
+    } else {
+      EXPECT_TRUE(x.AppendDouble(rng.NextDouble(-10.0, 10.0)).ok());
+    }
+  }
+  std::vector<ColumnPtr> columns;
+  columns.push_back(edge.Finish());
+  columns.push_back(wide.Finish());
+  columns.push_back(neg.Finish());
+  columns.push_back(late.Finish());
+  columns.push_back(label.Finish());
+  columns.push_back(zero.Finish());
+  columns.push_back(x.Finish());
+  auto t = Table::Make("group_boundaries", std::move(columns));
+  EXPECT_TRUE(t.ok());
+  return t.value();
+}
 
-  std::vector<GroupSpec> specs;
-  specs.push_back({{2}, AggFunc::kCount, -1});       // strings, dense path
-  specs.push_back({{0}, AggFunc::kAvg, 1});          // ints, dense path
-  specs.push_back({{1}, AggFunc::kSum, 0});          // doubles, hash path
-  specs.push_back({{2, 0}, AggFunc::kMin, 1});       // multi-key, hash path
-  specs.push_back({{0, 2}, AggFunc::kMax, 0});
+TEST(KernelParityTest, GroupAggregateMatchesScalar) {
+  struct Input {
+    TablePtr table;
+    std::vector<GroupSpec> specs;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({MakeRandomTable(11, 3 * kColumnChunkSize + 777),
+                    {
+                        {{2}, AggFunc::kCount, -1},   // strings, dense path
+                        {{0}, AggFunc::kAvg, 1},      // ints, dense path
+                        {{1}, AggFunc::kSum, 0},      // doubles, hash path
+                        {{2, 0}, AggFunc::kMin, 1},   // multi-key, hash path
+                        {{0, 2}, AggFunc::kMax, 0},
+                    }});
+  inputs.push_back({MakeGroupBoundaryTable(),
+                    {
+                        {{0}, AggFunc::kAvg, 6},      // 2^16 slots, dense
+                        {{0}, AggFunc::kCount, -1},
+                        {{1}, AggFunc::kSum, 6},      // 2^16 + 1, hash
+                        {{2}, AggFunc::kAvg, 6},      // negative base, dense
+                        {{3, 4}, AggFunc::kAvg, 6},   // late keys, hash
+                        {{4, 5}, AggFunc::kSum, 6},   // late tied keys, hash
+                        {{5, 3}, AggFunc::kCount, -1},
+                    }});
 
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    for (const auto& spec : specs) {
+  for (const Input& input : inputs) {
+    const Table& t = *input.table;
+    const auto selections = StressSelections(t.num_rows(), 11);
+    for (const auto& spec : input.specs) {
       for (const auto& rows : selections) {
-        auto scalar = ScalarGroupAggregate(*t, rows, spec);
+        auto scalar = ScalarGroupAggregate(t, rows, spec);
         ASSERT_TRUE(scalar.ok());
-        auto serial = GroupAggregateKernel(*t, rows, spec, nullptr);
-        ASSERT_TRUE(serial.ok());
-        ExpectGroupedBitIdentical(serial.value(), scalar.value());
-        auto parallel = GroupAggregateKernel(*t, rows, spec, &pool);
-        ASSERT_TRUE(parallel.ok());
-        ExpectGroupedBitIdentical(parallel.value(), scalar.value());
+        auto kernel = GroupAggregate(t, rows, spec);
+        ASSERT_TRUE(kernel.ok());
+        ExpectGroupedBitIdentical(kernel.value(), scalar.value());
       }
     }
   }
@@ -862,7 +941,7 @@ TEST(KernelParityTest, GroupAggregateErrorsMatchScalar) {
   };
   for (const auto& spec : cases) {
     auto scalar = ScalarGroupAggregate(*t, rows, spec);
-    auto kernel = GroupAggregateKernel(*t, rows, spec, nullptr);
+    auto kernel = GroupAggregate(*t, rows, spec);
     ASSERT_FALSE(scalar.ok());
     ASSERT_FALSE(kernel.ok());
     EXPECT_EQ(kernel.status(), scalar.status());
@@ -884,7 +963,7 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
 
   FilterKernelStats stats;
   auto result =
-      FilterRowsKernel(*t, rows, 0, CompareOp::kGt, Value(int64_t{6}), &stats);
+      FilterRows(*t, rows, 0, CompareOp::kGt, Value(int64_t{6}), &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.value().size(), static_cast<size_t>(kColumnChunkSize));
   EXPECT_EQ(result.value().front(), 2 * kColumnChunkSize);
@@ -898,7 +977,7 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
   // (min == max == term), so nothing is ever scanned.
   FilterKernelStats eq;
   ASSERT_TRUE(
-      FilterRowsKernel(*t, rows, 0, CompareOp::kEq, Value(int64_t{5}), &eq)
+      FilterRows(*t, rows, 0, CompareOp::kEq, Value(int64_t{5}), &eq)
           .ok());
   EXPECT_EQ(eq.chunks_skipped, 2);
   EXPECT_EQ(eq.chunks_all_match, 1);
@@ -914,7 +993,7 @@ TEST(FilterKernelStatsTest, ZoneMapSkipAndAllMatchCounters) {
   TablePtr tm = Table::Make("mixed", std::move(mixed_columns)).value();
   std::vector<int32_t> mrows = AllRows(*tm).value();
   FilterKernelStats scanned;
-  auto odd = FilterRowsKernel(*tm, mrows, 0, CompareOp::kGt,
+  auto odd = FilterRows(*tm, mrows, 0, CompareOp::kGt,
                               Value(int64_t{6}), &scanned);
   ASSERT_TRUE(odd.ok());
   EXPECT_EQ(odd.value().size(), static_cast<size_t>(kColumnChunkSize / 2));

@@ -2,8 +2,7 @@
 // (src/serve/). The contract under test: a session's trace is a pure
 // function of its SessionConfig and the snapshot — bit-identical to the
 // single-session serial reference no matter how many sessions share the
-// batch, which thread count steps them, when they join or leave, or
-// whether acting is batched at all.
+// batch, which thread count steps them, or when they join or leave.
 
 #include <gtest/gtest.h>
 
@@ -173,30 +172,6 @@ TEST(ServeDeterminismTest, MidServingAdmissionsDoNotChangeTraces) {
         ServeSingleSessionSerial(*snapshot, config, /*reward=*/nullptr);
     ExpectTracesEqual(by_seed.at(config.seed), reference, table,
                       "staggered seed " + std::to_string(config.seed));
-  }
-}
-
-TEST(ServeDeterminismTest, UnbatchedActingProducesIdenticalTraces) {
-  auto snapshot = SmallSnapshot();
-  const auto configs = MixedConfigs(5);
-  std::map<uint64_t, SessionTrace> batched;
-  const Table& table = *snapshot->dataset().table;
-  for (bool batch : {true, false}) {
-    ServeOptions options;
-    options.batched_acting = batch;
-    SessionManager manager(snapshot, options);
-    for (const auto& config : configs) MustAdmit(manager, config);
-    manager.Drain();
-    auto by_seed = BySeed(manager.TakeCompleted());
-    ASSERT_EQ(by_seed.size(), configs.size());
-    if (batch) {
-      batched = std::move(by_seed);
-      continue;
-    }
-    for (const auto& [seed, trace] : by_seed) {
-      ExpectTracesEqual(trace, batched.at(seed), table,
-                        "unbatched seed " + std::to_string(seed));
-    }
   }
 }
 
