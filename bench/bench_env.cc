@@ -67,7 +67,7 @@ void BM_EnvStepFilter(benchmark::State& state) {
       EdaOperation::Filter(col, CompareOp::kEq, Value(std::string("SYN")));
   for (auto _ : state) {
     env.Reset();
-    benchmark::DoNotOptimize(env.StepOperation(filter).valid);
+    benchmark::DoNotOptimize(env.TryStepOperation(filter).value().valid);
   }
 }
 BENCHMARK(BM_EnvStepFilter);
@@ -79,7 +79,7 @@ void BM_EnvStepGroup(benchmark::State& state) {
   EdaOperation group = EdaOperation::Group(col, AggFunc::kCount, -1);
   for (auto _ : state) {
     env.Reset();
-    benchmark::DoNotOptimize(env.StepOperation(group).valid);
+    benchmark::DoNotOptimize(env.TryStepOperation(group).value().valid);
   }
 }
 BENCHMARK(BM_EnvStepGroup);
@@ -98,7 +98,7 @@ void BM_EnvStepFilterScaled(benchmark::State& state) {
       EdaOperation::Filter(col, CompareOp::kEq, Value(std::string("SYN")));
   for (auto _ : state) {
     env.Reset();
-    benchmark::DoNotOptimize(env.StepOperation(filter).valid);
+    benchmark::DoNotOptimize(env.TryStepOperation(filter).value().valid);
   }
   state.counters["table_rows"] =
       static_cast<double>(dataset.table->num_rows());
@@ -112,7 +112,7 @@ void BM_EnvStepGroupScaled(benchmark::State& state) {
   EdaOperation group = EdaOperation::Group(col, AggFunc::kCount, -1);
   for (auto _ : state) {
     env.Reset();
-    benchmark::DoNotOptimize(env.StepOperation(group).valid);
+    benchmark::DoNotOptimize(env.TryStepOperation(group).value().valid);
   }
   state.counters["table_rows"] =
       static_cast<double>(dataset.table->num_rows());
@@ -132,7 +132,7 @@ void BM_EnvRandomEpisode(benchmark::State& state) {
   for (auto _ : state) {
     env.Reset();
     while (!env.done()) {
-      env.Step(SampleRandomAction(env.action_space(), &rng));
+      env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
     }
   }
   state.SetItemsProcessed(state.iterations() * config.episode_length);
@@ -152,7 +152,7 @@ void BM_EnvRandomEpisodeNoCache(benchmark::State& state) {
   for (auto _ : state) {
     env.Reset();
     while (!env.done()) {
-      env.Step(SampleRandomAction(env.action_space(), &rng));
+      env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
     }
   }
   state.SetItemsProcessed(state.iterations() * config.episode_length);
@@ -173,14 +173,17 @@ void BM_EnvConvergedReplay(benchmark::State& state) {
   std::vector<EdaOperation> ops;
   env.Reset();
   while (!env.done()) {
-    ops.push_back(env.Step(SampleRandomAction(env.action_space(), &rng)).op);
+    ops.push_back(
+        env.TryStep(SampleRandomAction(env.action_space(), &rng)).value().op);
   }
   const DisplayCacheStats before =
       env.display_cache() ? env.display_cache()->stats() : DisplayCacheStats{};
   for (auto _ : state) {
     env.Reset();
     double total = 0.0;
-    for (const auto& op : ops) total += env.StepOperation(op).reward;
+    for (const auto& op : ops) {
+      total += env.TryStepOperation(op).value().reward;
+    }
     benchmark::DoNotOptimize(total);
   }
   state.SetItemsProcessed(state.iterations() * config.episode_length);
@@ -201,7 +204,7 @@ void BM_CompoundRewardEpisode(benchmark::State& state) {
   for (auto _ : state) {
     env.Reset();
     while (!env.done()) {
-      env.Step(SampleRandomAction(env.action_space(), &rng));
+      env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
     }
   }
   state.SetItemsProcessed(state.iterations() * config.episode_length);

@@ -68,7 +68,7 @@ const std::vector<std::vector<double>>& RealHistory(size_t count) {
   env.Reset();
   Rng actions(count);
   for (size_t i = 0; i < count; ++i) {
-    env.Step(SampleRandomAction(env.action_space(), &actions));
+    env.TryStep(SampleRandomAction(env.action_space(), &actions)).value();
   }
   return (*cache)[count] = env.display_vectors();
 }

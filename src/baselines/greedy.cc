@@ -18,7 +18,7 @@ EdaNotebook RunGreedyEpisode(EdaEnvironment* env, const GreedyOptions& options,
     double best_reward = -1e18;
     const EdaOperation* best = nullptr;
     for (const auto& candidate : candidates) {
-      StepOutcome outcome = env->StepOperation(candidate);
+      StepOutcome outcome = env->TryStepOperation(candidate).value();
       env->RestoreSnapshot(snapshot);
       if (outcome.valid && outcome.reward > best_reward) {
         best_reward = outcome.reward;
@@ -28,10 +28,10 @@ EdaNotebook RunGreedyEpisode(EdaEnvironment* env, const GreedyOptions& options,
     if (best == nullptr) {
       // Every candidate was a no-op (can only happen on degenerate data);
       // burn a step so the episode still terminates.
-      env->StepOperation(EdaOperation::Back());
+      env->TryStepOperation(EdaOperation::Back()).value();
       continue;
     }
-    env->StepOperation(*best);
+    env->TryStepOperation(*best).value();
   }
   return NotebookFromSession(*env, std::move(generator));
 }

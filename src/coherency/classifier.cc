@@ -69,7 +69,7 @@ Status CoherencyClassifier::Train(EdaEnvironment* env) {
     env->Reset();
     while (!env->done()) {
       EnvAction action = SampleRandomAction(env->action_space(), &rng);
-      StepOutcome outcome = env->Step(action);
+      ATENA_ASSIGN_OR_RETURN(StepOutcome outcome, env->TryStep(action));
       RewardContext context;
       context.env = env;
       context.op = &env->steps().back().op;

@@ -1,8 +1,6 @@
 #include "dataframe/stats.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "common/math_utils.h"
 #include "dataframe/ops.h"
@@ -35,16 +33,6 @@ std::unordered_map<int64_t, double> ValueHistogram(
   for (int32_t r : rows) {
     if (column.IsNull(r)) continue;
     hist[column.CellKey(r)] += 1.0;
-  }
-  return hist;
-}
-
-std::unordered_map<int64_t, double> DoubleHistogram(
-    const std::vector<double>& values) {
-  std::unordered_map<int64_t, double> hist;
-  for (double v : values) {
-    if (std::isnan(v)) continue;
-    hist[static_cast<int64_t>(std::bit_cast<uint64_t>(v))] += 1.0;
   }
   return hist;
 }

@@ -30,11 +30,6 @@ ColumnStats ComputeColumnStats(const Column& column,
 std::unordered_map<int64_t, double> ValueHistogram(
     const Column& column, const std::vector<int32_t>& rows);
 
-/// Histogram over an arbitrary list of doubles, keyed by bit pattern;
-/// used for KL over aggregated display columns.
-std::unordered_map<int64_t, double> DoubleHistogram(
-    const std::vector<double>& values);
-
 /// One token of a column and its frequency in the selection.
 struct TokenFreq {
   Value token;

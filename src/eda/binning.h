@@ -27,9 +27,6 @@ class TermBinning {
   /// Tokens (indices into the original list) assigned to `bin`.
   const std::vector<int>& BinMembers(int bin) const { return bins_[bin]; }
 
-  /// True when `bin` holds at least one token.
-  bool BinNonEmpty(int bin) const { return !bins_[bin].empty(); }
-
   /// Samples a token index for `bin`. When the requested bin is empty the
   /// nearest non-empty bin is used (so every bin choice maps to a concrete
   /// token as long as the column has any token). Returns -1 only when the

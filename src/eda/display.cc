@@ -10,14 +10,4 @@ GroupSpec Display::MakeGroupSpec() const {
   return spec;
 }
 
-std::vector<double> Display::AggregateValues() const {
-  std::vector<double> out;
-  if (!grouped) return out;
-  out.reserve(grouped->groups.size());
-  for (const auto& g : grouped->groups) {
-    if (g.agg_valid) out.push_back(g.aggregate);
-  }
-  return out;
-}
-
 }  // namespace atena

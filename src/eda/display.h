@@ -44,10 +44,6 @@ struct Display {
 
   /// The GroupSpec describing this display's grouping state.
   GroupSpec MakeGroupSpec() const;
-
-  /// Aggregate values of all groups (empty when ungrouped); feeds the KL
-  /// interestingness reward for grouped displays.
-  std::vector<double> AggregateValues() const;
 };
 
 }  // namespace atena

@@ -359,22 +359,10 @@ Result<StepOutcome> EdaEnvironment::TryStep(const EnvAction& action) {
   return FinishStep(std::move(op), valid, valid);
 }
 
-StepOutcome EdaEnvironment::Step(const EnvAction& action) {
-  Result<StepOutcome> outcome = TryStep(action);
-  ATENA_CHECK(outcome.ok()) << outcome.status();
-  return std::move(outcome).value();
-}
-
 Result<StepOutcome> EdaEnvironment::TryStepOperation(const EdaOperation& op) {
   ATENA_RETURN_IF_ERROR(CheckReadyToStep());
   bool valid = ApplyOperation(op);
   return FinishStep(op, valid, valid);
-}
-
-StepOutcome EdaEnvironment::StepOperation(const EdaOperation& op) {
-  Result<StepOutcome> outcome = TryStepOperation(op);
-  ATENA_CHECK(outcome.ok()) << outcome.status();
-  return std::move(outcome).value();
 }
 
 std::vector<EdaOperation> EdaEnvironment::EnumerateOperations(

@@ -152,18 +152,15 @@ class EdaEnvironment {
   /// buggy or adversarial action id can never crash an episode or shift
   /// the Rng stream.
   ///
-  /// The Try variants return CheckReadyToStep's error instead of aborting
-  /// and leave the environment untouched on failure — the recoverable
-  /// entry points the serving runtime quarantines on. Step/StepOperation
-  /// keep the fatal contract for the training loop, where an
-  /// out-of-contract call is a programmer error.
+  /// Both step calls return CheckReadyToStep's error and leave the
+  /// environment untouched on failure — the serving runtime quarantines
+  /// the session on it. Callers for which an out-of-contract step is a
+  /// programmer error (the training loop) take `.value()`, which aborts.
   Result<StepOutcome> TryStep(const EnvAction& action);
-  StepOutcome Step(const EnvAction& action);
 
   /// Executes an explicit concrete operation (used by gold notebooks,
   /// traces replay and the greedy baselines).
   Result<StepOutcome> TryStepOperation(const EdaOperation& op);
-  StepOutcome StepOperation(const EdaOperation& op);
 
   bool done() const { return step_count_ >= config_.episode_length; }
   int step_count() const { return step_count_; }

@@ -2,18 +2,6 @@
 
 namespace atena {
 
-const char* OpTypeName(OpType type) {
-  switch (type) {
-    case OpType::kFilter:
-      return "FILTER";
-    case OpType::kGroup:
-      return "GROUP";
-    case OpType::kBack:
-      return "BACK";
-  }
-  return "?";
-}
-
 EdaOperation EdaOperation::Filter(int column, CompareOp op, Value term,
                                   int term_bin) {
   EdaOperation out;

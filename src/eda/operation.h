@@ -10,7 +10,6 @@ namespace atena {
 
 /// EDA operation types (paper §4.1).
 enum class OpType { kFilter, kGroup, kBack };
-const char* OpTypeName(OpType type);
 constexpr int kNumOpTypes = 3;
 
 /// Concrete parameters of a FILTER(attr, op, term) operation. `term_bin`

@@ -30,7 +30,7 @@ EdaNotebook ReplayOperations(EdaEnvironment* env,
   double total = 0.0;
   for (const auto& op : ops) {
     if (env->done()) break;
-    StepOutcome outcome = env->StepOperation(op);
+    StepOutcome outcome = env->TryStepOperation(op).value();
     total += outcome.reward;
   }
   if (total_reward != nullptr) *total_reward = total;

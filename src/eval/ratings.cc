@@ -23,7 +23,7 @@ Result<NotebookQuality> AssessNotebook(const Dataset& dataset,
   int steps = 0;
   for (const auto& entry : notebook.entries) {
     if (env.done()) break;
-    StepOutcome outcome = env.StepOperation(entry.op);
+    ATENA_ASSIGN_OR_RETURN(StepOutcome outcome, env.TryStepOperation(entry.op));
     RewardContext context;
     context.env = &env;
     context.op = &env.steps().back().op;

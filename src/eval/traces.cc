@@ -21,16 +21,21 @@ Result<std::vector<EdaNotebook>> SimulatedTraceNotebooks(
     while (!env.done()) {
       const double roll = rng.NextDouble();
       if (roll < options.follow_gold_prob && script_pos < script.size()) {
-        env.StepOperation(script[script_pos++]);
+        ATENA_RETURN_IF_ERROR(
+            env.TryStepOperation(script[script_pos++]).status());
       } else if (roll < options.follow_gold_prob + options.explore_prob) {
         // An exploratory detour: a random concrete operation over the
         // current display's frequent tokens.
         auto candidates = env.EnumerateOperations(/*tokens_per_column=*/2);
-        env.StepOperation(candidates[rng.NextBounded(candidates.size())]);
+        ATENA_RETURN_IF_ERROR(
+            env.TryStepOperation(candidates[rng.NextBounded(candidates.size())])
+                .status());
       } else if (rng.NextBool(0.6)) {
-        env.StepOperation(EdaOperation::Back());
+        ATENA_RETURN_IF_ERROR(
+            env.TryStepOperation(EdaOperation::Back()).status());
       } else {
-        env.Step(SampleRandomAction(env.action_space(), &rng));
+        ATENA_RETURN_IF_ERROR(
+            env.TryStep(SampleRandomAction(env.action_space(), &rng)).status());
       }
     }
     notebooks.push_back(NotebookFromSession(env, "EDA-Traces"));

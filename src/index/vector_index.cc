@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 #include <utility>
 
-#include "common/file_io.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 
@@ -45,34 +43,6 @@ inline double PruneThresholdSquared(double best, double radius) {
   }
   const double t = best / (1.0 - kBoundSlack) + radius;
   return t * t * (1.0 + kBoundSlack);
-}
-
-const std::string_view kIndexMagic = "ATENA-VIDX v1";
-
-void AppendU32(std::string* out, uint32_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[sizeof(v)];
-  std::memcpy(buf, &v, sizeof(v));
-  out->append(buf, sizeof(v));
-}
-
-bool ReadU32(const std::string& in, size_t* pos, uint32_t* v) {
-  if (*pos + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, sizeof(*v));
-  *pos += sizeof(*v);
-  return true;
-}
-
-bool ReadU64(const std::string& in, size_t* pos, uint64_t* v) {
-  if (*pos + sizeof(*v) > in.size()) return false;
-  std::memcpy(v, in.data() + *pos, sizeof(*v));
-  *pos += sizeof(*v);
-  return true;
 }
 
 }  // namespace
@@ -254,61 +224,6 @@ void VectorIndex::SplitLeaf(int32_t node_id) {
   node.children = std::move(children);
   node.retry_split_at = 0;
   PackChildCentroids(&node);
-}
-
-void VectorIndex::BuildNode(int32_t node_id, std::vector<int32_t> ids) {
-  if (ids.size() <= static_cast<size_t>(options_.leaf_capacity)) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    SetCentroidAndRadius(&node, ids);
-    node.ids = std::move(ids);
-    for (int32_t member : node.ids) PackMember(&node, member);
-    return;
-  }
-  std::vector<int> assignment;
-  const int clusters = KMeans(ids, &assignment);
-  if (clusters < 2) {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    SetCentroidAndRadius(&node, ids);
-    node.ids = std::move(ids);
-    for (int32_t member : node.ids) PackMember(&node, member);
-    node.retry_split_at = node.ids.size() * 2;
-    return;
-  }
-  SetCentroidAndRadius(&nodes_[static_cast<size_t>(node_id)], ids);
-  std::vector<std::vector<int32_t>> members(static_cast<size_t>(clusters));
-  for (size_t i = 0; i < ids.size(); ++i) {
-    members[static_cast<size_t>(assignment[i])].push_back(ids[i]);
-  }
-  std::vector<int32_t> children;
-  children.reserve(static_cast<size_t>(clusters));
-  for (int c = 0; c < clusters; ++c) children.push_back(NewNode());
-  {
-    Node& node = nodes_[static_cast<size_t>(node_id)];
-    node.leaf = false;
-    node.children = children;
-  }
-  for (int c = 0; c < clusters; ++c) {
-    BuildNode(children[static_cast<size_t>(c)],
-              std::move(members[static_cast<size_t>(c)]));
-  }
-  // Children's centroids are final once their subtrees are built.
-  PackChildCentroids(&nodes_[static_cast<size_t>(node_id)]);
-}
-
-VectorIndex VectorIndex::Build(std::vector<std::vector<double>> vectors) {
-  return Build(std::move(vectors), Options());
-}
-
-VectorIndex VectorIndex::Build(std::vector<std::vector<double>> vectors,
-                               Options options) {
-  VectorIndex index(options);
-  index.vectors_ = std::move(vectors);
-  if (index.vectors_.empty()) return index;
-  std::vector<int32_t> ids(index.vectors_.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
-  const int32_t root = index.NewNode();
-  index.BuildNode(root, std::move(ids));
-  return index;
 }
 
 int32_t VectorIndex::Insert(std::vector<double> vector) {
@@ -555,70 +470,6 @@ int VectorIndex::depth() const {
     }
   }
   return max_depth;
-}
-
-Status VectorIndex::Save(const std::string& path) const {
-  std::string payload;
-  AppendU32(&payload, static_cast<uint32_t>(options_.branching));
-  AppendU32(&payload, static_cast<uint32_t>(options_.leaf_capacity));
-  AppendU32(&payload, static_cast<uint32_t>(options_.kmeans_iterations));
-  AppendU64(&payload, static_cast<uint64_t>(vectors_.size()));
-  for (const auto& v : vectors_) {
-    AppendU32(&payload, static_cast<uint32_t>(v.size()));
-    const size_t bytes = v.size() * sizeof(double);
-    const size_t at = payload.size();
-    payload.resize(at + bytes);
-    if (bytes > 0) std::memcpy(&payload[at], v.data(), bytes);
-  }
-  return WriteChecksummedFile(path, kIndexMagic, payload);
-}
-
-Result<VectorIndex> VectorIndex::Load(const std::string& path) {
-  std::string payload;
-  ATENA_RETURN_IF_ERROR(ReadChecksummedFile(path, kIndexMagic, &payload));
-  size_t pos = 0;
-  uint32_t branching = 0, leaf_capacity = 0, kmeans_iterations = 0;
-  uint64_t count = 0;
-  if (!ReadU32(payload, &pos, &branching) ||
-      !ReadU32(payload, &pos, &leaf_capacity) ||
-      !ReadU32(payload, &pos, &kmeans_iterations) ||
-      !ReadU64(payload, &pos, &count)) {
-    return Status::IOError("vector index " + path + ": truncated header");
-  }
-  if (branching < 2 || leaf_capacity < 1 || kmeans_iterations < 1) {
-    return Status::InvalidArgument("vector index " + path +
-                                   ": implausible options");
-  }
-  Options options;
-  options.branching = static_cast<int>(branching);
-  options.leaf_capacity = static_cast<int>(leaf_capacity);
-  options.kmeans_iterations = static_cast<int>(kmeans_iterations);
-  VectorIndex index(options);
-  // The tree is a pure function of the insertion sequence, so replaying
-  // the stored vectors reproduces the saved index's behavior exactly (and
-  // an exact index's answers do not depend on tree shape anyway).
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t dim = 0;
-    if (!ReadU32(payload, &pos, &dim)) {
-      return Status::IOError("vector index " + path + ": truncated vector " +
-                             std::to_string(i));
-    }
-    const size_t bytes = static_cast<size_t>(dim) * sizeof(double);
-    if (pos + bytes > payload.size()) {
-      return Status::IOError("vector index " + path + ": truncated vector " +
-                             std::to_string(i));
-    }
-    std::vector<double> v(static_cast<size_t>(dim));
-    if (bytes > 0) std::memcpy(v.data(), payload.data() + pos, bytes);
-    pos += bytes;
-    index.Insert(std::move(v));
-  }
-  if (pos != payload.size()) {
-    return Status::IOError("vector index " + path + ": " +
-                           std::to_string(payload.size() - pos) +
-                           " trailing bytes");
-  }
-  return index;
 }
 
 }  // namespace atena

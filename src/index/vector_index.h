@@ -4,10 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
-
-#include "common/status.h"
 
 namespace atena {
 
@@ -27,9 +24,10 @@ namespace atena {
 /// tests/index_test.cc; exactness argument in DESIGN.md §14).
 ///
 /// Vectors are identified by their insertion order (0, 1, 2, ...). The
-/// tree shape depends on how the index was grown (batch build vs
-/// incremental inserts), but query *results* never do — both paths scan
-/// an unpruned candidate set that provably contains the optimum.
+/// index grows only through Insert; the tree shape is a pure function of
+/// the insertion sequence, and query *results* do not depend on it at all
+/// — every query scans an unpruned candidate set that provably contains
+/// the optimum.
 ///
 /// Vectors of different lengths are allowed: distances follow
 /// EuclideanDistance's documented tails-count-as-distance-from-zero
@@ -73,13 +71,6 @@ class VectorIndex {
   VectorIndex();
   explicit VectorIndex(Options options);
 
-  /// Batch-builds by recursive top-down k-means over all of `vectors`
-  /// (ids follow the input order). Equivalent to inserting one by one in
-  /// every observable way except tree shape / pruning rate.
-  static VectorIndex Build(std::vector<std::vector<double>> vectors);
-  static VectorIndex Build(std::vector<std::vector<double>> vectors,
-                           Options options);
-
   /// Appends `vector` and threads it into the tree (descend to the
   /// nearest child at each level, growing each visited ball; split
   /// overflowing leaves). Returns the new vector's id.
@@ -114,13 +105,6 @@ class VectorIndex {
       const std::vector<double>& query, int k,
       size_t id_limit = std::numeric_limits<size_t>::max(),
       QueryStats* stats = nullptr) const;
-
-  /// Persists the index as a CRC-framed container (common/file_io).
-  /// Only the vectors and options are stored: the tree is rebuilt on
-  /// Load by replaying the inserts, so a loaded index answers every
-  /// query identically to the saved one by construction.
-  Status Save(const std::string& path) const;
-  static Result<VectorIndex> Load(const std::string& path);
 
   // Structure introspection (tests/bench).
   int node_count() const { return static_cast<int>(nodes_.size()); }
@@ -161,8 +145,6 @@ class VectorIndex {
   /// Rebuilds a node's packed child-centroid arena from its children.
   void PackChildCentroids(Node* node);
   void SplitLeaf(int32_t node_id);
-  /// Recursive top-down batch build of `ids` under `node_id`.
-  void BuildNode(int32_t node_id, std::vector<int32_t> ids);
   /// Deterministic k-means over the member set; returns per-member
   /// cluster assignments and the cluster count (1 = unseparable).
   int KMeans(const std::vector<int32_t>& ids,

@@ -40,9 +40,8 @@ ParallelPpoTrainer::ParallelPpoTrainer(std::vector<EdaEnvironment*> envs,
       policy_(policy),
       options_(options),
       // Multi-actor runs decorrelate their exploration stream from the
-      // single-env trainer's; the 1-actor instance keeps the plain seed
-      // because it IS the single-env trainer (PpoTrainer delegates here and
-      // must reproduce its historical output bit for bit).
+      // single-env run's; the 1-actor instance keeps the plain seed so
+      // single-env training reproduces its historical output bit for bit.
       rng_(envs_.size() > 1 ? options.seed ^ 0x5151 : options.seed),
       buffer_(envs_.size()),
       updater_(policy, UpdaterOptions(options)) {
@@ -141,8 +140,10 @@ TrainingResult ParallelPpoTrainer::Train() {
       // serial loop.
       outcomes.resize(static_cast<size_t>(m));
       auto step_actor = [&](int e) {
-        outcomes[static_cast<size_t>(e)] = ApplyAction(
-            envs_[static_cast<size_t>(e)], steps[static_cast<size_t>(e)].action);
+        outcomes[static_cast<size_t>(e)] =
+            TryApplyAction(envs_[static_cast<size_t>(e)],
+                           steps[static_cast<size_t>(e)].action)
+                .value();
       };
       if (pool_) {
         pool_->ParallelFor(m, step_actor);
@@ -319,7 +320,7 @@ TrainingResult ParallelPpoTrainer::Train() {
     std::vector<EdaOperation> ops;
     while (!envs_[0]->done()) {
       PolicyStep step = policy_->Act(obs, &rng_);
-      StepOutcome outcome = ApplyAction(envs_[0], step.action);
+      StepOutcome outcome = TryApplyAction(envs_[0], step.action).value();
       reward += outcome.reward;
       ops.push_back(outcome.op);
       obs = std::move(outcome.observation);
@@ -391,7 +392,7 @@ void ParallelPpoTrainer::ApplyCheckpoint(const TrainingCheckpoint& ckpt,
   recent_episode_rewards_ = ckpt.recent_episode_rewards;
 
   // Rebuild each environment's mid-episode state by replaying the resolved
-  // operations of the in-flight episode. Replay goes through StepOperation,
+  // operations of the in-flight episode. Replay goes through TryStepOperation,
   // which consumes no randomness, and the env Rng stream is restored
   // afterwards — so the next sampled filter term is exactly the one the
   // snapshotted run would have drawn.
@@ -399,7 +400,7 @@ void ParallelPpoTrainer::ApplyCheckpoint(const TrainingCheckpoint& ckpt,
     ActorState& actor = (*actors)[e];
     actor.observation = envs_[e]->Reset();
     for (const EdaOperation& op : ckpt.actors[e].episode_ops) {
-      StepOutcome outcome = envs_[e]->StepOperation(op);
+      StepOutcome outcome = envs_[e]->TryStepOperation(op).value();
       actor.observation = std::move(outcome.observation);
     }
     envs_[e]->set_rng_state(ckpt.actors[e].env_rng);

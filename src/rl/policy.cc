@@ -44,13 +44,6 @@ int64_t Policy::NumParameters() {
   return total;
 }
 
-StepOutcome ApplyAction(EdaEnvironment* env, const ActionRecord& action) {
-  if (action.is_concrete) {
-    return env->StepOperation(action.concrete);
-  }
-  return env->Step(action.structured);
-}
-
 Result<StepOutcome> TryApplyAction(EdaEnvironment* env,
                                    const ActionRecord& action) {
   if (action.is_concrete) {

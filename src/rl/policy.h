@@ -108,13 +108,11 @@ class Policy {
   int64_t NumParameters();
 };
 
-/// Applies a recorded action to the environment.
-StepOutcome ApplyAction(EdaEnvironment* env, const ActionRecord& action);
-
-/// Recoverable variant for the serving runtime: routes through the
-/// environment's TryStep/TryStepOperation, so an out-of-contract step
-/// surfaces as a Status (quarantining one session) instead of aborting
-/// the whole process. The environment is untouched on failure.
+/// Applies a recorded action to the environment through its
+/// TryStep/TryStepOperation, so an out-of-contract step surfaces as a
+/// Status (the serving runtime quarantines one session on it) and leaves
+/// the environment untouched. The training loop takes `.value()`, which
+/// aborts on that programmer error.
 Result<StepOutcome> TryApplyAction(EdaEnvironment* env,
                                    const ActionRecord& action);
 

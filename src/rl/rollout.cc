@@ -181,7 +181,7 @@ EdaNotebook RolloutNotebook(EdaEnvironment* env, Policy* policy, Rng* rng,
   while (!env->done()) {
     PolicyStep step = greedy ? policy->ActGreedy(observation)
                              : policy->Act(observation, rng);
-    StepOutcome outcome = ApplyAction(env, step.action);
+    StepOutcome outcome = TryApplyAction(env, step.action).value();
     total += outcome.reward;
     observation = std::move(outcome.observation);
   }

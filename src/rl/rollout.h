@@ -67,10 +67,10 @@ class RolloutBuffer {
   std::vector<std::vector<Transition>> streams_;
 };
 
-/// The PPO learning core shared by PpoTrainer and ParallelPpoTrainer:
-/// normalizes advantages across the merged batch, then runs several
-/// shuffled clipped-surrogate epochs, backpropagating through the policy
-/// and stepping the owned Adam optimizer.
+/// The PPO learning core of ParallelPpoTrainer: normalizes advantages
+/// across the merged batch, then runs several shuffled clipped-surrogate
+/// epochs, backpropagating through the policy and stepping the owned Adam
+/// optimizer.
 class PpoUpdater {
  public:
   struct Options {

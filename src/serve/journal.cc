@@ -107,28 +107,6 @@ void EncodeRng(std::string& out, const RngState& rng) {
   F64(out, rng.spare_gaussian);
 }
 
-// Tick entries carry the delta form when possible ("d <draws> <spare>"),
-// the full state ("F <state>") otherwise — the dominant byte saving of
-// the tick record.
-void EncodeJournalRng(std::string& out, const JournalRng& rng) {
-  if (rng.full) {
-    out += "F ";
-    EncodeRng(out, rng.state);
-    return;
-  }
-  out += "d ";
-  Num(out, rng.draws);
-  Sp(out);
-  if (rng.has_spare) {
-    out += "1 ";
-    F64(out, rng.spare);
-  } else {
-    // A cleared/absent spare keeps its pre-step bytes; the value is
-    // omitted (MaterializeJournalRng carries it from `current`).
-    out += '0';
-  }
-}
-
 void EncodeValue(std::string& out, const Value& value) {
   if (value.is_null()) {
     out += 'N';
@@ -259,6 +237,9 @@ char* PutF64(char* p, double value) {
   return p + 16;
 }
 
+// Tick entries carry the delta form when possible ("d <draws> <spare>"),
+// the full state ("F <state>", EncodeRng's bytes) otherwise — the
+// dominant byte saving of the tick record.
 char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
   if (rng.full) {
     *p++ = 'F';
@@ -280,6 +261,8 @@ char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
     *p++ = ' ';
     return PutF64(p, rng.spare);
   }
+  // A cleared/absent spare keeps its pre-step bytes; the value is omitted
+  // (MaterializeJournalRng carries it from `current`).
   *p++ = '0';
   return p;
 }
@@ -317,24 +300,6 @@ void EncodeTickEntryStep(std::string& out, uint64_t id, int end,
   out.append(buf, static_cast<size_t>(p - buf));
   EncodeOp(out, op);
   Nl(out);
-}
-
-std::string EncodeTickPayload(const JournalTick& tick) {
-  std::string out = TickPayloadHeader(tick.overloaded, tick.entries.size());
-  out.reserve(32 + tick.entries.size() * 96);
-  for (const JournalTickEntry& entry : tick.entries) {
-    if (entry.kind == JournalTickEntry::Kind::kQuarantine) {
-      out += "q ";
-      Num(out, entry.id);
-      Nl(out);
-      continue;
-    }
-    EncodeTickEntryStep(out, entry.id, entry.end, entry.stage_after,
-                        entry.env_rng, entry.act_rng, entry.step.op,
-                        entry.step.valid, entry.step.reward,
-                        entry.step.display_signature);
-  }
-  return out;
 }
 
 std::string EncodeStopPayload(const std::vector<uint64_t>& ids) {
@@ -1022,12 +987,8 @@ Status SessionJournal::AppendReload(const JournalReload& reload) {
   return Append("reload", EncodeReloadPayload(reload));
 }
 
-Status SessionJournal::AppendTick(const JournalTick& tick) {
-  return Append("tick", EncodeTickPayload(tick));
-}
-
-Status SessionJournal::AppendTickBuilt(const JournalTickBuilder& builder,
-                                       bool overloaded) {
+Status SessionJournal::AppendTick(const JournalTickBuilder& builder,
+                                 bool overloaded) {
   // Frame + payload header land in one stack buffer; the builder's body
   // is never copied — the CRC streams over both pieces and one gather
   // write moves them into the kernel. The bytes on disk are exactly

@@ -148,9 +148,11 @@ struct JournalTickEntry {
   JournalRng act_rng;
 };
 
-/// One Tick's group commit: every live session's entry, appended as a
-/// single record — one append per tick, not per session — whose flush is
-/// shared with neighbouring records at the next durability barrier.
+/// One Tick's group commit as ReadJournal decodes it: every live
+/// session's entry, appended as a single record (JournalTickBuilder +
+/// SessionJournal::AppendTick) — one append per tick, not per session —
+/// whose flush is shared with neighbouring records at the next durability
+/// barrier.
 struct JournalTick {
   bool overloaded = false;
   std::vector<JournalTickEntry> entries;
@@ -175,7 +177,7 @@ class JournalTickBuilder {
                double reward, uint64_t display_signature);
   /// The encoded entries. The full tick payload is the
   /// "<overloaded> <count>\n" header followed by these bytes;
-  /// SessionJournal::AppendTickBuilt frames and appends it without ever
+  /// SessionJournal::AppendTick frames and appends it without ever
   /// concatenating the two.
   const std::string& body() const { return body_; }
 
@@ -297,14 +299,13 @@ class SessionJournal {
   /// cleanly.
   Status AppendAdmit(const JournalAdmit& admit);
   Status AppendReload(const JournalReload& reload);
-  Status AppendTick(const JournalTick& tick);
-  /// AppendTick for entries pre-encoded by a JournalTickBuilder — the
-  /// hot path. Never materializes a JournalTick, and the record reaches
-  /// the kernel as one gather write of its pieces (frame line, payload
-  /// header, builder body) with a streamed CRC — the builder's bytes are
-  /// not copied into a contiguous record first. Byte-identical on disk
-  /// to AppendTick of the equivalent JournalTick.
-  Status AppendTickBuilt(const JournalTickBuilder& builder, bool overloaded);
+  /// Appends the tick record whose entries a JournalTickBuilder
+  /// pre-encoded. Never materializes a JournalTick, and the record
+  /// reaches the kernel as one gather write of its pieces (frame line,
+  /// payload header, builder body) with a streamed CRC — the builder's
+  /// bytes are not copied into a contiguous record first. ReadJournal
+  /// parses it back into a JournalTick.
+  Status AppendTick(const JournalTickBuilder& builder, bool overloaded);
   Status AppendStop(const std::vector<uint64_t>& ids);
 
   /// True when appended records are not yet durable (a Sync would flush).

@@ -531,7 +531,7 @@ int SessionManager::Tick() {
   if (journaling && journal_) {
     const int64_t before = journal_->appended_bytes();
     AccountJournalAppend(
-        journal_->AppendTickBuilt(tick_builder_, overloaded_),
+        journal_->AppendTick(tick_builder_, overloaded_),
         before);
     MaybeAutoCompact();
   }
@@ -1284,7 +1284,7 @@ SessionTrace ServeSingleSessionSerial(const PolicySnapshot& snapshot,
   for (int step = 0; step < max_steps; ++step) {
     const PolicyStep act = config.greedy ? policy->ActGreedy(observation)
                                          : policy->Act(observation, &act_rng);
-    StepOutcome out = ApplyAction(&env, act.action);
+    StepOutcome out = TryApplyAction(&env, act.action).value();
     trace.steps.push_back(RecordStep(out, env));
     trace.total_reward += out.reward;
     if (out.done && step + 1 < max_steps) {

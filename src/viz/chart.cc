@@ -9,20 +9,6 @@
 
 namespace atena {
 
-const char* ChartKindName(ChartKind kind) {
-  switch (kind) {
-    case ChartKind::kNone:
-      return "none";
-    case ChartKind::kBarChart:
-      return "bar";
-    case ChartKind::kLineChart:
-      return "line";
-    case ChartKind::kHistogram:
-      return "histogram";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string CompositeKeyLabel(const Group& group) {

@@ -20,8 +20,6 @@ enum class ChartKind {
   kHistogram,  // distribution of one numeric column of a raw display
 };
 
-const char* ChartKindName(ChartKind kind);
-
 /// One point of a chart: a label (category or bin) and its value.
 struct ChartPoint {
   std::string label;

@@ -27,7 +27,7 @@ EnvConfig SmallConfig() {
 /// Executes `op` on `env` and returns the context for the step (the op is
 /// steps().back() per the environment contract).
 RewardContext StepContext(EdaEnvironment* env, const EdaOperation& op) {
-  StepOutcome outcome = env->StepOperation(op);
+  StepOutcome outcome = env->TryStepOperation(op).value();
   RewardContext context;
   context.env = env;
   context.op = &env->steps().back().op;
@@ -110,7 +110,7 @@ TEST(RulesTest, RepeatedOperationVotesIncoherent) {
   int method = d.table->FindColumn("method");
   EdaOperation group = EdaOperation::Group(method, AggFunc::kCount, -1);
   StepContext(&env, group);
-  env.StepOperation(EdaOperation::Back());
+  env.TryStepOperation(EdaOperation::Back()).value();
   auto ctx = StepContext(&env, group);
   EXPECT_EQ(VoteOf(rules, "repeated_operation", ctx), LfVote::kIncoherent);
 }
@@ -121,7 +121,8 @@ TEST(RulesTest, DrillDownPatternVotesCoherent) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
   auto ctx = StepContext(&env, EdaOperation::Filter(
                                    method, CompareOp::kEq,
                                    Value(std::string("POST"))));

@@ -148,7 +148,7 @@ std::vector<double> RunTrace(EdaEnvironment* env,
                              const std::vector<EnvAction>& actions) {
   std::vector<double> trace = env->Reset();
   for (const EnvAction& action : actions) {
-    StepOutcome out = env->Step(action);
+    StepOutcome out = env->TryStep(action).value();
     trace.insert(trace.end(), out.observation.begin(), out.observation.end());
     trace.push_back(out.reward);
     trace.push_back(out.valid ? 1.0 : 0.0);
@@ -318,8 +318,8 @@ TEST(CacheDeterminismTest, SharedCacheAcrossActorsMatchesUncached) {
     }
     for (size_t step = 0; step < 8; ++step) {
       for (int i = 0; i < kActors; ++i) {
-        StepOutcome a = shared[i]->Step(actions[i][step]);
-        StepOutcome b = solo[i]->Step(actions[i][step]);
+        StepOutcome a = shared[i]->TryStep(actions[i][step]).value();
+        StepOutcome b = solo[i]->TryStep(actions[i][step]).value();
         shared_traces[i].insert(shared_traces[i].end(),
                                 a.observation.begin(), a.observation.end());
         shared_traces[i].push_back(a.reward);

@@ -151,7 +151,8 @@ TEST(ObservationTest, GroupFeaturesPopulatedOnlyWhenGrouped) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
   const auto& vectors = env.display_vectors();
   const auto& before = vectors[vectors.size() - 2];
   const auto& after = vectors.back();
@@ -204,8 +205,8 @@ TEST(EnvironmentTest, FilterStepNarrowsRows) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  auto outcome = env.StepOperation(EdaOperation::Filter(
-      method, CompareOp::kEq, Value(std::string("POST"))));
+  auto outcome = env.TryStepOperation(EdaOperation::Filter(
+      method, CompareOp::kEq, Value(std::string("POST")))).value();
   EXPECT_TRUE(outcome.valid);
   EXPECT_LT(env.current_display().rows.size(),
             static_cast<size_t>(d.table->num_rows()));
@@ -220,8 +221,8 @@ TEST(EnvironmentTest, EmptyFilterIsInvalidNoOp) {
   EdaEnvironment env(d, config);
   env.Reset();
   int method = d.table->FindColumn("method");
-  auto outcome = env.StepOperation(EdaOperation::Filter(
-      method, CompareOp::kEq, Value(std::string("DELETE"))));
+  auto outcome = env.TryStepOperation(EdaOperation::Filter(
+      method, CompareOp::kEq, Value(std::string("DELETE")))).value();
   EXPECT_FALSE(outcome.valid);
   EXPECT_DOUBLE_EQ(outcome.reward, -2.5);
   EXPECT_EQ(env.current_display().filters.size(), 0u);
@@ -236,21 +237,21 @@ TEST(EnvironmentTest, RepeatedPredicateIsInvalidNoOp) {
   int method = d.table->FindColumn("method");
   EdaOperation filter = EdaOperation::Filter(method, CompareOp::kEq,
                                              Value(std::string("POST")));
-  EXPECT_TRUE(env.StepOperation(filter).valid);
+  EXPECT_TRUE(env.TryStepOperation(filter).value().valid);
   // Re-applying the exact same predicate shows nothing new.
-  EXPECT_FALSE(env.StepOperation(filter).valid);
+  EXPECT_FALSE(env.TryStepOperation(filter).value().valid);
   // A fresh predicate that keeps every row is a legitimate confirmation
   // step (e.g. "all of these are POSTs to the same host").
   int status = d.table->FindColumn("status");
-  EXPECT_TRUE(env.StepOperation(EdaOperation::Filter(
-      status, CompareOp::kGe, Value(int64_t{0}))).valid);
+  EXPECT_TRUE(env.TryStepOperation(EdaOperation::Filter(
+      status, CompareOp::kGe, Value(int64_t{0}))).value().valid);
 }
 
 TEST(EnvironmentTest, BackAtRootIsInvalid) {
   Dataset d = SmallDataset();
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
-  auto outcome = env.StepOperation(EdaOperation::Back());
+  auto outcome = env.TryStepOperation(EdaOperation::Back()).value();
   EXPECT_FALSE(outcome.valid);
 }
 
@@ -259,10 +260,11 @@ TEST(EnvironmentTest, BackRestoresPreviousDisplay) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Filter(method, CompareOp::kEq,
-                                         Value(std::string("POST"))));
+  env.TryStepOperation(EdaOperation::Filter(method, CompareOp::kEq,
+                                            Value(std::string("POST"))))
+      .value();
   size_t filtered = env.current_display().rows.size();
-  auto outcome = env.StepOperation(EdaOperation::Back());
+  auto outcome = env.TryStepOperation(EdaOperation::Back()).value();
   EXPECT_TRUE(outcome.valid);
   EXPECT_GT(env.current_display().rows.size(), filtered);
   EXPECT_EQ(env.current_display().filters.size(), 0u);
@@ -274,14 +276,14 @@ TEST(EnvironmentTest, ConsecutiveGroupsCompose) {
   env.Reset();
   int method = d.table->FindColumn("method");
   int status = d.table->FindColumn("status");
-  EXPECT_TRUE(env.StepOperation(
-      EdaOperation::Group(method, AggFunc::kCount, -1)).valid);
-  EXPECT_TRUE(env.StepOperation(
-      EdaOperation::Group(status, AggFunc::kCount, -1)).valid);
+  EXPECT_TRUE(env.TryStepOperation(
+      EdaOperation::Group(method, AggFunc::kCount, -1)).value().valid);
+  EXPECT_TRUE(env.TryStepOperation(
+      EdaOperation::Group(status, AggFunc::kCount, -1)).value().valid);
   EXPECT_EQ(env.current_display().group_columns.size(), 2u);
   // Grouping an already-grouped attribute is a no-op.
-  EXPECT_FALSE(env.StepOperation(
-      EdaOperation::Group(method, AggFunc::kCount, -1)).valid);
+  EXPECT_FALSE(env.TryStepOperation(
+      EdaOperation::Group(method, AggFunc::kCount, -1)).value().valid);
 }
 
 TEST(EnvironmentTest, GroupDepthIsCapped) {
@@ -291,12 +293,12 @@ TEST(EnvironmentTest, GroupDepthIsCapped) {
   config.episode_length = 10;
   EdaEnvironment env(d, config);
   env.Reset();
-  EXPECT_TRUE(env.StepOperation(
-      EdaOperation::Group(0, AggFunc::kCount, -1)).valid);
-  EXPECT_TRUE(env.StepOperation(
-      EdaOperation::Group(1, AggFunc::kCount, -1)).valid);
-  EXPECT_FALSE(env.StepOperation(
-      EdaOperation::Group(2, AggFunc::kCount, -1)).valid);
+  EXPECT_TRUE(env.TryStepOperation(
+      EdaOperation::Group(0, AggFunc::kCount, -1)).value().valid);
+  EXPECT_TRUE(env.TryStepOperation(
+      EdaOperation::Group(1, AggFunc::kCount, -1)).value().valid);
+  EXPECT_FALSE(env.TryStepOperation(
+      EdaOperation::Group(2, AggFunc::kCount, -1)).value().valid);
 }
 
 TEST(EnvironmentTest, FilterAfterGroupRecomputesGroups) {
@@ -305,10 +307,11 @@ TEST(EnvironmentTest, FilterAfterGroupRecomputesGroups) {
   env.Reset();
   int method = d.table->FindColumn("method");
   int src = d.table->FindColumn("source_ip");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
   size_t groups_before = env.current_display().grouped->groups.size();
-  auto outcome = env.StepOperation(EdaOperation::Filter(
-      src, CompareOp::kEq, Value(std::string("203.0.113.99"))));
+  auto outcome = env.TryStepOperation(EdaOperation::Filter(
+      src, CompareOp::kEq, Value(std::string("203.0.113.99")))).value();
   EXPECT_TRUE(outcome.valid);
   ASSERT_TRUE(env.current_display().grouped != nullptr);
   EXPECT_LE(env.current_display().grouped->groups.size(), groups_before);
@@ -322,7 +325,8 @@ TEST(EnvironmentTest, EpisodeEndsAfterConfiguredLength) {
   env.Reset();
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(env.done());
-    env.StepOperation(EdaOperation::Back());  // invalid no-ops still count
+    // Invalid no-ops still count.
+    env.TryStepOperation(EdaOperation::Back()).value();
   }
   EXPECT_TRUE(env.done());
   EXPECT_EQ(env.steps().size(), 3u);
@@ -378,11 +382,13 @@ TEST(EnvironmentTest, SnapshotRestoreRoundTrip) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
   auto snapshot = env.SaveSnapshot();
   const size_t history = env.display_history().size();
-  env.StepOperation(EdaOperation::Filter(method, CompareOp::kEq,
-                                         Value(std::string("POST"))));
+  env.TryStepOperation(EdaOperation::Filter(method, CompareOp::kEq,
+                                            Value(std::string("POST"))))
+      .value();
   EXPECT_GT(env.display_history().size(), history);
   env.RestoreSnapshot(snapshot);
   EXPECT_EQ(env.display_history().size(), history);
@@ -436,8 +442,8 @@ TEST(EnvironmentTest, RewardSignalReceivesConsistentContext) {
   env.SetRewardSignal(&probe);
   env.Reset();
   int method = d.table->FindColumn("method");
-  auto outcome = env.StepOperation(EdaOperation::Filter(
-      method, CompareOp::kEq, Value(std::string("POST"))));
+  auto outcome = env.TryStepOperation(EdaOperation::Filter(
+      method, CompareOp::kEq, Value(std::string("POST")))).value();
   EXPECT_TRUE(outcome.valid);
   EXPECT_DOUBLE_EQ(outcome.reward, 0.5);
   EXPECT_TRUE(probe.ok);
@@ -518,7 +524,7 @@ TEST(EnvironmentTest, StepWithMalformedActionIsPenalizedNoOp) {
   bad.filter_column = env.action_space().num_columns;  // at the bound
 
   const RngState rng_before = env.rng_state();
-  StepOutcome outcome = env.Step(bad);
+  StepOutcome outcome = env.TryStep(bad).value();
   EXPECT_FALSE(outcome.valid);
   EXPECT_DOUBLE_EQ(outcome.reward, env.config().invalid_action_penalty);
   EXPECT_FALSE(outcome.done);
@@ -534,7 +540,7 @@ TEST(EnvironmentTest, StepWithMalformedActionIsPenalizedNoOp) {
   // The episode continues: a subsequent well-formed action still executes.
   EnvAction good;
   good.type = OpType::kGroup;
-  StepOutcome next = env.Step(good);
+  StepOutcome next = env.TryStep(good).value();
   EXPECT_TRUE(next.valid);
   EXPECT_EQ(env.steps().size(), 2u);
 }
@@ -549,7 +555,7 @@ TEST(EnvironmentTest, MalformedActionsStillEndTheEpisode) {
   bad.type = OpType::kGroup;
   bad.agg_func = -7;
   StepOutcome outcome;
-  for (int i = 0; i < 3; ++i) outcome = env.Step(bad);
+  for (int i = 0; i < 3; ++i) outcome = env.TryStep(bad).value();
   EXPECT_TRUE(outcome.done);
   EXPECT_FALSE(outcome.valid);
 }
@@ -561,9 +567,10 @@ TEST(SessionTest, NotebookSkipsInvalidSteps) {
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Back());  // invalid at root
-  env.StepOperation(EdaOperation::Filter(method, CompareOp::kEq,
-                                         Value(std::string("POST"))));
+  env.TryStepOperation(EdaOperation::Back()).value();  // invalid at root
+  env.TryStepOperation(EdaOperation::Filter(method, CompareOp::kEq,
+                                            Value(std::string("POST"))))
+      .value();
   EdaNotebook notebook = NotebookFromSession(env, "test");
   ASSERT_EQ(notebook.entries.size(), 1u);
   EXPECT_EQ(notebook.entries[0].op.type, OpType::kFilter);

@@ -132,7 +132,7 @@ TEST(EdgeTest, EnvironmentOnTinyDatasetSurvivesFullEpisode) {
   Rng rng(1);
   env.Reset();
   while (!env.done()) {
-    env.Step(SampleRandomAction(env.action_space(), &rng));
+    env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
   }
   EXPECT_EQ(env.steps().size(), 10u);
 }

@@ -46,18 +46,24 @@ TEST(ViewSignatureTest, CanonicalizationIsOrderInsensitive) {
 
   // Path A: filter then group method, group status.
   env.Reset();
-  env.StepOperation(EdaOperation::Filter(src, CompareOp::kEq,
-                                         Value(std::string("203.0.113.99"))));
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
-  env.StepOperation(EdaOperation::Group(status, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Filter(src, CompareOp::kEq,
+                                            Value(std::string("203.0.113.99"))))
+      .value();
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
+  env.TryStepOperation(EdaOperation::Group(status, AggFunc::kCount, -1))
+      .value();
   auto sig_a = MakeViewSignature(*d.table, env.current_display());
 
   // Path B: group status, group method, then filter.
   env.Reset();
-  env.StepOperation(EdaOperation::Group(status, AggFunc::kCount, -1));
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
-  env.StepOperation(EdaOperation::Filter(src, CompareOp::kEq,
-                                         Value(std::string("203.0.113.99"))));
+  env.TryStepOperation(EdaOperation::Group(status, AggFunc::kCount, -1))
+      .value();
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
+  env.TryStepOperation(EdaOperation::Filter(src, CompareOp::kEq,
+                                            Value(std::string("203.0.113.99"))))
+      .value();
   auto sig_b = MakeViewSignature(*d.table, env.current_display());
 
   EXPECT_TRUE(sig_a == sig_b);
@@ -248,7 +254,7 @@ TEST_P(GoldScriptsTest, ScriptsReplayWithoutInvalidOps) {
         << "script " << i << " longer than an episode";
     env.Reset();
     for (size_t j = 0; j < script.size(); ++j) {
-      StepOutcome outcome = env.StepOperation(script[j]);
+      StepOutcome outcome = env.TryStepOperation(script[j]).value();
       EXPECT_TRUE(outcome.valid)
           << GetParam() << " script " << i << " op " << j << ": "
           << script[j].Describe(*dataset.value().table);

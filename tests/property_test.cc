@@ -37,8 +37,8 @@ TEST_P(EnvInvariantTest, RandomEpisodesPreserveInvariants) {
   const size_t total_rows =
       static_cast<size_t>(dataset.value().table->num_rows());
   while (!env.done()) {
-    StepOutcome outcome = env.Step(SampleRandomAction(env.action_space(),
-                                                      &rng));
+    StepOutcome outcome =
+        env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
     const Display& display = env.current_display();
 
     // 1. The display's rows are always a subset of the table, sorted and
@@ -101,8 +101,8 @@ TEST_P(RewardInvariantTest, ComponentsBoundedOnRandomEpisodes) {
   Rng rng(GetParam() * 97 + 3);
   env.Reset();
   while (!env.done()) {
-    StepOutcome outcome = env.Step(SampleRandomAction(env.action_space(),
-                                                      &rng));
+    StepOutcome outcome =
+        env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
     RewardContext context;
     context.env = &env;
     context.op = &env.steps().back().op;
@@ -313,7 +313,7 @@ TEST(DeterminismTest, IdenticalSeedsYieldIdenticalEpisodes) {
     env.Reset();
     std::vector<std::string> descriptions;
     while (!env.done()) {
-      env.Step(SampleRandomAction(env.action_space(), &rng));
+      env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
       descriptions.push_back(
           env.steps().back().op.Describe(*dataset.value().table));
     }

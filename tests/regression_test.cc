@@ -23,7 +23,7 @@ EnvConfig Config() {
 }
 
 RewardContext StepContext(EdaEnvironment* env, const EdaOperation& op) {
-  StepOutcome outcome = env->StepOperation(op);
+  StepOutcome outcome = env->TryStepOperation(op).value();
   RewardContext context;
   context.env = env;
   context.op = &env->steps().back().op;
@@ -65,8 +65,9 @@ TEST(RewardRegressionTest, ProportionalShrinkIsNotMaximallyInteresting) {
   EdaEnvironment env(dataset.value(), Config());
   const Table& t = *dataset.value().table;
   env.Reset();
-  env.StepOperation(EdaOperation::Group(t.FindColumn("airline"),
-                                        AggFunc::kCount, -1));
+  env.TryStepOperation(
+         EdaOperation::Group(t.FindColumn("airline"), AggFunc::kCount, -1))
+      .value();
   // flight_number is independent of airline: cutting it shrinks every
   // airline's count roughly proportionally.
   auto ctx = StepContext(
@@ -115,8 +116,8 @@ TEST(RewardRegressionTest, PerStepRewardScaleIsBounded) {
   env.SetRewardSignal(reward.value().get());
   env.Reset();
   const Table& t = *dataset.value().table;
-  StepOutcome outcome = env.StepOperation(EdaOperation::Group(
-      t.FindColumn("method"), AggFunc::kCount, -1));
+  StepOutcome outcome = env.TryStepOperation(EdaOperation::Group(
+      t.FindColumn("method"), AggFunc::kCount, -1)).value();
   EXPECT_GT(outcome.reward, 0.5);
   EXPECT_LT(outcome.reward, 8.0);
 }

@@ -23,7 +23,7 @@ EnvConfig SmallConfig() {
 }
 
 RewardContext StepContext(EdaEnvironment* env, const EdaOperation& op) {
-  StepOutcome outcome = env->StepOperation(op);
+  StepOutcome outcome = env->TryStepOperation(op).value();
   RewardContext context;
   context.env = env;
   context.op = &env->steps().back().op;
@@ -102,7 +102,8 @@ TEST(FilterInterestingnessTest, GroupedDisplayUsesAggregatedAttribute) {
   env.Reset();
   int method = d.table->FindColumn("method");
   int bytes = d.table->FindColumn("response_bytes");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kAvg, bytes));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kAvg, bytes))
+      .value();
   auto ctx = StepContext(&env, EdaOperation::Filter(
                                    method, CompareOp::kEq,
                                    Value(std::string("POST"))));
@@ -178,7 +179,8 @@ TEST(CompoundRewardTest, ComponentsAreSwitchable) {
   env.SetRewardSignal(&reward);
   env.Reset();
   int method = d.table->FindColumn("method");
-  env.StepOperation(EdaOperation::Group(method, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(method, AggFunc::kCount, -1))
+      .value();
   EXPECT_DOUBLE_EQ(reward.last_components().diversity, 0.0);
   EXPECT_DOUBLE_EQ(reward.last_components().coherency, 0.0);
   EXPECT_GT(reward.last_components().interestingness, 0.0);
@@ -197,8 +199,8 @@ TEST(CompoundRewardTest, CalibrationBalancesComponentShares) {
   for (int episode = 0; episode < 10; ++episode) {
     env.Reset();
     while (!env.done()) {
-      StepOutcome outcome = env.Step(SampleRandomAction(env.action_space(),
-                                                        &rng));
+      StepOutcome outcome =
+          env.TryStep(SampleRandomAction(env.action_space(), &rng)).value();
       if (!outcome.valid) continue;
       const auto& c = reward.value()->last_components();
       const auto& o = reward.value()->options();
@@ -224,8 +226,8 @@ TEST(CompoundRewardTest, IncoherentOperationsArePenalized) {
   env.Reset();
   int id_col = d.table->FindColumn("request_id");
   // Filtering on a row id: id-like + (usually) tiny effect.
-  StepOutcome outcome = env.StepOperation(EdaOperation::Filter(
-      id_col, CompareOp::kEq, Value(int64_t{17})));
+  StepOutcome outcome = env.TryStepOperation(EdaOperation::Filter(
+      id_col, CompareOp::kEq, Value(int64_t{17}))).value();
   ASSERT_TRUE(outcome.valid);
   EXPECT_LT(reward.value()->last_components().coherency, 0.0);
 }

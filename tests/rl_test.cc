@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "data/registry.h"
+#include "rl/parallel_trainer.h"
 #include "rl/policy.h"
-#include "rl/trainer.h"
 
 namespace atena {
 namespace {
@@ -20,7 +20,7 @@ EnvConfig SmallConfig() {
   return config;
 }
 
-TEST(ApplyActionTest, StructuredActionsGoThroughStep) {
+TEST(TryApplyActionTest, StructuredActionsGoThroughTryStep) {
   Dataset d = SmallDataset();
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
@@ -28,12 +28,12 @@ TEST(ApplyActionTest, StructuredActionsGoThroughStep) {
   record.structured.type = OpType::kGroup;
   record.structured.group_column = d.table->FindColumn("method");
   record.structured.agg_func = static_cast<int>(AggFunc::kCount);
-  StepOutcome outcome = ApplyAction(&env, record);
+  StepOutcome outcome = TryApplyAction(&env, record).value();
   EXPECT_TRUE(outcome.valid);
   EXPECT_EQ(outcome.op.type, OpType::kGroup);
 }
 
-TEST(ApplyActionTest, ConcreteActionsGoThroughStepOperation) {
+TEST(TryApplyActionTest, ConcreteActionsGoThroughTryStepOperation) {
   Dataset d = SmallDataset();
   EdaEnvironment env(d, SmallConfig());
   env.Reset();
@@ -42,7 +42,7 @@ TEST(ApplyActionTest, ConcreteActionsGoThroughStepOperation) {
   record.concrete = EdaOperation::Filter(d.table->FindColumn("method"),
                                          CompareOp::kEq,
                                          Value(std::string("POST")));
-  StepOutcome outcome = ApplyAction(&env, record);
+  StepOutcome outcome = TryApplyAction(&env, record).value();
   EXPECT_TRUE(outcome.valid);
   EXPECT_TRUE(outcome.op.filter.term == Value(std::string("POST")));
 }
@@ -109,7 +109,7 @@ TEST(TrainerBookkeepingTest, CountsEpisodesAndTracksBest) {
   options.rollout_length = 25;
   options.minibatch_size = 25;
   options.epochs_per_update = 1;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   TrainingResult result = trainer.Train();
 
   EXPECT_EQ(result.episodes, 20);
@@ -134,7 +134,7 @@ TEST(TrainerBookkeepingTest, BestEpisodeRewardIsMaxOverEpisodes) {
   options.rollout_length = 25;
   options.minibatch_size = 25;
   options.epochs_per_update = 1;
-  PpoTrainer trainer(&env, &policy, options);
+  ParallelPpoTrainer trainer({&env}, &policy, options);
   TrainingResult result = trainer.Train();
   EXPECT_DOUBLE_EQ(result.best_episode_reward, -5.0);
   EXPECT_DOUBLE_EQ(result.final_mean_reward, -5.0);

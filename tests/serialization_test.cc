@@ -60,54 +60,6 @@ TEST(SerializationTest, LoadedNetworkComputesIdenticalOutputs) {
   }
 }
 
-TEST(SerializationTest, LoadsLegacyV1FixtureWrittenByOldFormat) {
-  // A checkpoint in the historical positional (nameless) v1 format, written
-  // here byte-for-byte as the pre-refactor SaveParameters would have
-  // emitted it for a 2->2->1 MLP. The named parameter store must keep
-  // loading such files.
-  const std::string path = TempPath("legacy_v1.nn");
-  std::ofstream(path) << "ATENA-NN v1\n"
-                         "4\n"
-                         "2 2\n"
-                         "0.5 -0.25 1.5 2\n"
-                         "1 2\n"
-                         "0.125 -1\n"
-                         "1 2\n"
-                         "3 -0.75\n"
-                         "1 1\n"
-                         "0.0625\n";
-
-  ParameterStore store;
-  Rng rng(17);
-  auto net = MakeMlp(2, {2}, 1, &store, "mlp", &rng);
-  (void)net;
-  ASSERT_TRUE(LoadParameters(&store, path).ok());
-  auto all = store.All();
-  EXPECT_DOUBLE_EQ(all[0]->value(0, 0), 0.5);
-  EXPECT_DOUBLE_EQ(all[0]->value(0, 1), -0.25);
-  EXPECT_DOUBLE_EQ(all[0]->value(1, 0), 1.5);
-  EXPECT_DOUBLE_EQ(all[0]->value(1, 1), 2.0);
-  EXPECT_DOUBLE_EQ(all[1]->value(0, 0), 0.125);
-  EXPECT_DOUBLE_EQ(all[1]->value(0, 1), -1.0);
-  EXPECT_DOUBLE_EQ(all[2]->value(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(all[2]->value(0, 1), -0.75);
-  EXPECT_DOUBLE_EQ(all[3]->value(0, 0), 0.0625);
-
-  // And a v2 re-save of the same store round-trips with names.
-  const std::string v2_path = TempPath("legacy_resaved.nn");
-  ASSERT_TRUE(SaveParameters(store, v2_path).ok());
-  std::ifstream in(v2_path);
-  std::string magic, first_name;
-  std::getline(in, magic);
-  EXPECT_EQ(magic, "ATENA-NN v2");
-  std::string count_line;
-  std::getline(in, count_line);
-  in >> first_name;
-  EXPECT_EQ(first_name, "mlp.0.weight");
-  ASSERT_TRUE(LoadParameters(&store, v2_path).ok());
-  EXPECT_DOUBLE_EQ(store.All()[0]->value(0, 0), 0.5);
-}
-
 TEST(SerializationTest, NameMismatchIsRejected) {
   ParameterStore store;
   Rng rng(18);
@@ -168,6 +120,30 @@ TEST(SerializationTest, GarbageFileIsRejected) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(LoadParameters(&store, "/nonexistent/x.nn").code(),
             StatusCode::kIOError);
+
+  // A well-formed block in the retired positional (nameless) v1 format for
+  // this 2->2->1 MLP is rejected like any other foreign header, and the
+  // store keeps its weights.
+  const std::string v1_path = TempPath("legacy_v1.nn");
+  std::ofstream(v1_path) << "ATENA-NN v1\n"
+                            "4\n"
+                            "2 2\n"
+                            "0.5 -0.25 1.5 2\n"
+                            "1 2\n"
+                            "0.125 -1\n"
+                            "1 2\n"
+                            "3 -0.75\n"
+                            "1 1\n"
+                            "0.0625\n";
+  std::vector<std::vector<double>> before;
+  for (const Parameter* p : store.All()) before.push_back(p->value.data());
+  EXPECT_EQ(LoadParameters(&store, v1_path).code(),
+            StatusCode::kInvalidArgument);
+  auto after = store.All();
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t k = 0; k < after.size(); ++k) {
+    EXPECT_EQ(after[k]->value.data(), before[k]) << after[k]->name;
+  }
 }
 
 TEST(SerializationTest, TruncatedFileIsRejected) {

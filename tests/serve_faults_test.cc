@@ -345,8 +345,8 @@ TEST(ServeDeadlineTest, DegradedRewardSkipsDiversityScan) {
   for (int step = 0; step < 6; ++step) {
     const PolicyStep act_a = policy->Act(obs_a, &rng_a);
     const PolicyStep act_b = policy->Act(obs_b, &rng_b);
-    StepOutcome out_a = ApplyAction(&env_a, act_a.action);
-    StepOutcome out_b = ApplyAction(&env_b, act_b.action);
+    StepOutcome out_a = TryApplyAction(&env_a, act_a.action).value();
+    StepOutcome out_b = TryApplyAction(&env_b, act_b.action).value();
     // Identical environments and streams: same operation either way.
     ASSERT_EQ(out_a.op.Describe(*snapshot->dataset().table),
               out_b.op.Describe(*snapshot->dataset().table))

@@ -30,7 +30,8 @@ TEST(ChartRecommendTest, CategoricalGroupingYieldsBarChart) {
   env.Reset();
   int month = d.table->FindColumn("month");
   int delay = d.table->FindColumn("departure_delay");
-  env.StepOperation(EdaOperation::Group(month, AggFunc::kAvg, delay));
+  env.TryStepOperation(EdaOperation::Group(month, AggFunc::kAvg, delay))
+      .value();
   auto chart = RecommendChart(*d.table, env.current_display());
   ASSERT_TRUE(chart.ok());
   EXPECT_EQ(chart.value().kind, ChartKind::kBarChart);
@@ -45,7 +46,7 @@ TEST(ChartRecommendTest, NumericKeyYieldsLineChart) {
   env.Reset();
   int dep = d.table->FindColumn("scheduled_departure");
   int delay = d.table->FindColumn("departure_delay");
-  env.StepOperation(EdaOperation::Group(dep, AggFunc::kAvg, delay));
+  env.TryStepOperation(EdaOperation::Group(dep, AggFunc::kAvg, delay)).value();
   auto chart = RecommendChart(*d.table, env.current_display());
   ASSERT_TRUE(chart.ok());
   EXPECT_EQ(chart.value().kind, ChartKind::kLineChart);
@@ -57,7 +58,8 @@ TEST(ChartRecommendTest, UngroupedDisplayYieldsHistogram) {
   EdaEnvironment env(d, Config());
   env.Reset();
   int delay = d.table->FindColumn("departure_delay");
-  env.StepOperation(EdaOperation::Filter(delay, CompareOp::kGt, Value(0.0)));
+  env.TryStepOperation(EdaOperation::Filter(delay, CompareOp::kGt, Value(0.0)))
+      .value();
   auto chart = RecommendChart(*d.table, env.current_display());
   ASSERT_TRUE(chart.ok());
   EXPECT_EQ(chart.value().kind, ChartKind::kHistogram);
@@ -78,9 +80,11 @@ TEST(ChartRecommendTest, SingleGroupIsNotWorthACharting) {
   env.Reset();
   int airline = d.table->FindColumn("airline");
   // flights4 has several airlines; narrow to one, then group by airline.
-  env.StepOperation(EdaOperation::Filter(airline, CompareOp::kEq,
-                                         Value(std::string("AA"))));
-  env.StepOperation(EdaOperation::Group(airline, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Filter(airline, CompareOp::kEq,
+                                            Value(std::string("AA"))))
+      .value();
+  env.TryStepOperation(EdaOperation::Group(airline, AggFunc::kCount, -1))
+      .value();
   auto chart = RecommendChart(*d.table, env.current_display());
   ASSERT_TRUE(chart.ok());
   EXPECT_EQ(chart.value().kind, ChartKind::kNone);
@@ -92,11 +96,12 @@ TEST(ChartRecommendTest, ManyCategoriesTruncateToTopBars) {
   env.Reset();
   int flight_number = d.table->FindColumn("flight_number");
   int delay = d.table->FindColumn("departure_delay");
-  env.StepOperation(
-      EdaOperation::Group(flight_number, AggFunc::kAvg, delay));
+  env.TryStepOperation(
+      EdaOperation::Group(flight_number, AggFunc::kAvg, delay)).value();
   // Numeric key -> line chart, not truncated. Force bar with two keys.
   int month = d.table->FindColumn("month");
-  env.StepOperation(EdaOperation::Group(month, AggFunc::kAvg, delay));
+  env.TryStepOperation(EdaOperation::Group(month, AggFunc::kAvg, delay))
+      .value();
   ChartOptions options;
   options.max_bars = 10;
   auto chart = RecommendChart(*d.table, env.current_display(), options);
@@ -111,7 +116,7 @@ TEST(ChartRecommendTest, DeterministicAcrossCalls) {
   EdaEnvironment env(d, Config());
   env.Reset();
   int month = d.table->FindColumn("month");
-  env.StepOperation(EdaOperation::Group(month, AggFunc::kCount, -1));
+  env.TryStepOperation(EdaOperation::Group(month, AggFunc::kCount, -1)).value();
   auto a = RecommendChart(*d.table, env.current_display());
   auto b = RecommendChart(*d.table, env.current_display());
   ASSERT_TRUE(a.ok());
