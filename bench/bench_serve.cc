@@ -126,7 +126,7 @@ void BM_ServeSessions(benchmark::State& state) {
     }
     state.SetIterationTime(iteration_seconds);
     measured_seconds += iteration_seconds;
-    hit_rate = manager.display_cache()->Snapshot().totals.hit_rate();
+    hit_rate = manager.display_cache()->stats().hit_rate();
   }
 
   state.counters["concurrent_sessions"] = static_cast<double>(concurrent);

@@ -318,12 +318,12 @@ int main(int argc, char** argv) {
   consume_outcomes();
 
   const ServeStats& stats = manager.stats();
-  const auto cache_stats = manager.display_cache()->Snapshot();
+  const DisplayCacheStats cache_stats = manager.display_cache()->stats();
   std::printf(
       "\nserved %llu sessions (%lld steps total), cache hit rate %.3f\n",
       static_cast<unsigned long long>(finished),
       static_cast<long long>(manager.steps_served()),
-      cache_stats.totals.hit_rate());
+      cache_stats.hit_rate());
   std::printf(
       "fault domains: %lld shed, %lld quarantined, %lld deadline-retired, "
       "%lld hard-stopped, %lld degraded steps, %lld/%lld reloads ok\n",

@@ -9,7 +9,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
+
+#include "common/token_codec.h"
 
 namespace atena {
 
@@ -119,50 +120,10 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents) {
 }
 
 Status AppendDurableFile(const std::string& path, std::string_view data) {
-  const bool existed = FileExists(path);
-  int fd = -1;
-  if (InjectFailure("append-open", path) ||
-      (fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)) < 0) {
-    return StepError("append-open", path);
-  }
-  const char* bytes = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    ssize_t n;
-    if (InjectFailure("append-write", path) ||
-        (n = ::write(fd, bytes, remaining)) < 0) {
-      // A short prefix of `data` may already be in the file — the torn
-      // suffix readers of append-only files are required to tolerate.
-      Status error = StepError("append-write", path);
-      ::close(fd);
-      return error;
-    }
-    bytes += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  if (InjectFailure("append-fsync", path) || ::fsync(fd) != 0) {
-    Status error = StepError("append-fsync", path);
-    ::close(fd);
-    return error;
-  }
-  if (::close(fd) != 0) return StepError("append-close", path);
-  if (!existed) {
-    // First append created the file: fsync the directory so the new entry
-    // itself survives a crash, like AtomicWriteFile does for its rename.
-    const std::string dir = DirectoryOf(path);
-    int dir_fd;
-    if (InjectFailure("append-dirsync", path) ||
-        (dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY)) < 0) {
-      return StepError("append-dirsync-open", dir);
-    }
-    if (::fsync(dir_fd) != 0) {
-      Status error = StepError("append-dirsync", dir);
-      ::close(dir_fd);
-      return error;
-    }
-    ::close(dir_fd);
-  }
-  return Status::OK();
+  DurableAppender appender;
+  ATENA_RETURN_IF_ERROR(appender.Open(path));
+  ATENA_RETURN_IF_ERROR(appender.AppendParts({data}));
+  return appender.Sync();
 }
 
 Status ReadFileToString(const std::string& path, std::string* out) {
@@ -223,27 +184,6 @@ Status DurableAppender::Open(const std::string& path) {
   }
   fd_ = fd;
   path_ = path;
-  return Status::OK();
-}
-
-Status DurableAppender::Append(std::string_view data) {
-  if (fd_ < 0) {
-    return Status::FailedPrecondition("DurableAppender: no file open");
-  }
-  const char* bytes = data.data();
-  size_t remaining = data.size();
-  while (remaining > 0) {
-    ssize_t n;
-    if (InjectFailure("append-write", path_) ||
-        (n = ::write(fd_, bytes, remaining)) < 0) {
-      // A short prefix may already be in the file — the torn suffix
-      // readers of append-only files are required to tolerate.
-      return StepError("append-write", path_);
-    }
-    bytes += n;
-    remaining -= static_cast<size_t>(n);
-  }
-  if (!data.empty()) dirty_ = true;
   return Status::OK();
 }
 
@@ -364,13 +304,17 @@ uint32_t Crc32(std::string_view data) { return Crc32Extend(0, data); }
 
 Status WriteChecksummedFile(const std::string& path, std::string_view magic,
                             std::string_view payload) {
-  std::ostringstream framed;
-  framed << magic << "\n";
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  framed << "crc32 " << crc_hex << " size " << payload.size() << "\n";
-  framed << payload;
-  return AtomicWriteFile(path, framed.str());
+  std::string framed;
+  TokenWriter(framed)
+      .Word(magic)
+      .Nl()
+      .Word("crc32")
+      .Crc(Crc32(payload))
+      .Word("size")
+      .Int(payload.size())
+      .Nl();
+  framed += payload;
+  return AtomicWriteFile(path, framed);
 }
 
 Status ReadChecksummedFile(const std::string& path, std::string_view magic,
@@ -385,33 +329,22 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
     return Status::InvalidArgument("'" + path + "' is not a " +
                                    std::string(magic) + " file");
   }
-  // Header line: "crc32 <hex> size <n>".
+  // Header line: "crc32 <hex> size <n>". The checksum is written as exactly
+  // 8 lowercase hex digits and parsed strictly, so any byte flip inside the
+  // header is itself detected.
   size_t header_end = raw.find('\n', magic_end + 1);
   if (header_end == std::string::npos) {
     return Status::IOError("'" + path + "' truncated: no checksum header");
   }
-  std::istringstream header(raw.substr(magic_end + 1,
-                                       header_end - magic_end - 1));
-  std::string crc_key, size_key;
-  std::string crc_hex;
-  uint64_t declared_size = 0;
-  header >> crc_key >> crc_hex >> size_key >> declared_size;
-  // The checksum is written as exactly 8 lowercase hex digits; parse it
-  // strictly so any byte flip inside the digits is itself detected.
+  TokenReader header(
+      std::string_view(raw).substr(magic_end + 1, header_end - magic_end - 1),
+      path);
   uint32_t declared_crc = 0;
-  bool crc_ok = header && crc_key == "crc32" && size_key == "size" &&
-                crc_hex.size() == 8;
-  for (char c : crc_hex) {
-    if (c >= '0' && c <= '9') {
-      declared_crc = declared_crc * 16 + static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      declared_crc = declared_crc * 16 + static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      crc_ok = false;
-      break;
-    }
-  }
-  if (!crc_ok) {
+  uint64_t declared_size = 0;
+  if (!header.ExpectKeyword("crc32").ok() ||
+      !header.ReadCrc(&declared_crc, "checksum").ok() ||
+      !header.ExpectKeyword("size").ok() ||
+      !header.Read(&declared_size, "size").ok() || !header.AtEnd()) {
     return Status::IOError("'" + path + "' has a malformed checksum header");
   }
   const size_t body_start = header_end + 1;
@@ -424,10 +357,9 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
   std::string body = raw.substr(body_start);
   const uint32_t actual_crc = Crc32(body);
   if (actual_crc != declared_crc) {
-    char actual_hex[9];
-    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
-    return Status::IOError("'" + path + "' checksum mismatch: header " +
-                           crc_hex + ", payload " + actual_hex);
+    std::string message = "'" + path + "' checksum mismatch: header ";
+    TokenWriter(message).Crc(declared_crc).Word("payload").Crc(actual_crc);
+    return Status::IOError(message);
   }
   *payload = std::move(body);
   return Status::OK();

@@ -35,26 +35,23 @@ Status AtomicWriteFile(const std::string& path, std::string_view contents);
 /// carry strerror(errno) detail; `*out` is only modified on success.
 Status ReadFileToString(const std::string& path, std::string* out);
 
-/// Durably appends `data` to `path` (creating it when absent): open with
-/// O_APPEND, write the whole buffer, fsync. When the call creates the file
-/// its directory entry is fsynced too. This is the log-structured sibling
-/// of AtomicWriteFile — it never rewrites existing bytes, so a crash can
+/// Durably appends `data` to `path` (creating it when absent, with its
+/// directory entry synced): DurableAppender's Open + AppendParts + Sync on
+/// a private descriptor. It never rewrites existing bytes, so a crash can
 /// only leave a *torn suffix*, never damage what earlier appends made
 /// durable. Readers of append-only files (the serving journal and health
 /// log) must therefore tolerate an incomplete final record.
-/// Consults the same failure hook as AtomicWriteFile with ops
-/// "append-open", "append-write", "append-fsync" and "append-dirsync".
 Status AppendDurableFile(const std::string& path, std::string_view data);
 
-/// The hot-path variant of AppendDurableFile for high-frequency appenders
-/// (the serving journal's group commit): the file descriptor is held open
-/// across appends, and writing is decoupled from flushing — Append pushes
-/// bytes into the kernel (cheap), Sync makes everything appended so far
-/// durable with one fdatasync (the expensive part, paid only at commit
-/// barriers). fdatasync persists the data and the file-size metadata
-/// needed to read it back; a crash can only leave a torn suffix.
-/// Consults the same failure hook with the same "append-*" ops as
-/// AppendDurableFile, so fault matrices cover both. Not thread-safe.
+/// The held-descriptor appender for high-frequency appenders (the serving
+/// journal's group commit): the file descriptor stays open across appends,
+/// and writing is decoupled from flushing — AppendParts pushes bytes into
+/// the kernel (cheap), Sync makes everything appended so far durable with
+/// one fdatasync (the expensive part, paid only at commit barriers).
+/// fdatasync persists the data and the file-size metadata needed to read
+/// it back; a crash can only leave a torn suffix. Consults the failure hook
+/// with ops "append-open", "append-dirsync", "append-write" and
+/// "append-fsync". Not thread-safe.
 class DurableAppender {
  public:
   DurableAppender() = default;
@@ -75,16 +72,12 @@ class DurableAppender {
   /// bytes are the caller's to flush (or to abandon, crash-style).
   void Close();
 
-  /// Appends `data` on the held descriptor (write loop, no flush).
+  /// Appends the concatenation of `parts` (at most 16 non-empty ones) on
+  /// the held descriptor as one gather write, no flush — a record's pieces
+  /// never have to be copied into a contiguous buffer first.
   /// FailedPrecondition when not open. Until the next Sync the new bytes
   /// survive a process crash (they are in the page cache) but not a
   /// system crash.
-  Status Append(std::string_view data);
-
-  /// Append of the concatenation of `parts` (at most 16 non-empty ones)
-  /// as one gather write — the record's pieces never have to be copied
-  /// into a contiguous buffer first. Same semantics and failure hook op
-  /// ("append-write") as Append.
   Status AppendParts(std::initializer_list<std::string_view> parts);
 
   /// Makes every appended byte durable: one fdatasync ("append-fsync"
@@ -127,8 +120,8 @@ Status ReadChecksummedFile(const std::string& path, std::string_view magic,
 
 /// Fault-injection hook for tests. When set, it is consulted before each
 /// low-level step of AtomicWriteFile — `op` is one of "open", "write",
-/// "fsync", "rename", "dirsync" — and of AppendDurableFile ("append-open",
-/// "append-write", "append-fsync", "append-dirsync") — and returning true
+/// "fsync", "rename", "dirsync" — and of DurableAppender ("append-open",
+/// "append-dirsync", "append-write", "append-fsync") — and returning true
 /// makes that step fail
 /// as if the kernel had returned EIO (temp-file cleanup still runs, so the
 /// atomicity contract can be asserted under every failure point). Pass an

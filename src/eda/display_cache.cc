@@ -175,19 +175,6 @@ void DisplayCache::Clear() {
 }
 
 DisplayCacheStats DisplayCache::stats() const {
-  DisplayCacheStats stats;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
-    stats.evictions += shard->evictions;
-    stats.entries += shard->entries.size();
-    stats.resident_bytes += shard->resident_bytes;
-  }
-  return stats;
-}
-
-DisplayCacheSnapshot DisplayCache::Snapshot() const {
   // Acquire every shard lock (index order — the only multi-lock site, so
   // the ordering can never deadlock against single-shard Get/Put) and only
   // then read, so all counters describe one instant.
@@ -196,17 +183,15 @@ DisplayCacheSnapshot DisplayCache::Snapshot() const {
   for (const auto& shard : shards_) {
     locks.emplace_back(shard->mutex);
   }
-  DisplayCacheSnapshot snapshot;
-  snapshot.shard_entries.reserve(shards_.size());
+  DisplayCacheStats stats;
   for (const auto& shard : shards_) {
-    snapshot.totals.hits += shard->hits;
-    snapshot.totals.misses += shard->misses;
-    snapshot.totals.evictions += shard->evictions;
-    snapshot.totals.entries += shard->entries.size();
-    snapshot.totals.resident_bytes += shard->resident_bytes;
-    snapshot.shard_entries.push_back(shard->entries.size());
+    stats.hits += shard->hits;
+    stats.misses += shard->misses;
+    stats.evictions += shard->evictions;
+    stats.entries += shard->entries.size();
+    stats.resident_bytes += shard->resident_bytes;
   }
-  return snapshot;
+  return stats;
 }
 
 uint64_t RootRowsSignature(const Table& table) {

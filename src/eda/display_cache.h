@@ -31,16 +31,6 @@ struct DisplayCacheStats {
   }
 };
 
-/// A single consistent observation of a DisplayCache: the totals plus the
-/// per-shard resident entry counts, all read at one instant (every shard
-/// lock held simultaneously). Unlike polling stats() fields across separate
-/// loads, a snapshot's hit rate and occupancy always describe the same
-/// moment — what bench_serve and the serving example report.
-struct DisplayCacheSnapshot {
-  DisplayCacheStats totals;
-  std::vector<uint64_t> shard_entries;
-};
-
 /// Thread-safe sharded LRU memoization cache for display execution.
 ///
 /// RL training replays the same operation prefixes constantly (Boltzmann
@@ -92,17 +82,11 @@ class DisplayCache {
 
   void Clear();
 
-  /// Aggregated counters. Each shard's contribution is internally
-  /// consistent (read under its lock), but shards are visited one after
-  /// another, so totals may mix instants under concurrent load. Exact once
-  /// the writers have quiesced.
+  /// One consistent observation of the counters: every shard lock is
+  /// acquired (in index order) before anything is read, so the hit rate,
+  /// totals and occupancy describe a single instant — no torn multi-counter
+  /// reads even while other threads keep serving.
   DisplayCacheStats stats() const;
-
-  /// One consistent observation of the whole cache: all shard locks are
-  /// acquired (in index order) before anything is read, so the returned
-  /// hit rate, totals and per-shard occupancy describe a single instant —
-  /// no torn multi-counter reads even while other threads keep serving.
-  DisplayCacheSnapshot Snapshot() const;
 
  private:
   struct Entry {

@@ -3,6 +3,8 @@
 
 #include <string>
 
+#include "common/status.h"
+#include "common/token_codec.h"
 #include "dataframe/ops.h"
 #include "dataframe/table.h"
 
@@ -45,6 +47,16 @@ struct EdaOperation {
   /// "FILTER month == 'June'" or "GROUP-BY origin_airport, AVG(departure_delay)".
   std::string Describe(const Table& table) const;
 };
+
+/// Writes `op` as one TokenWriter phrase — `B`, `G <group> <agg> <agg-col>`
+/// or `F <column> <cmp> <term-bin> <term>`, the term a tagged Value (`N`,
+/// `I <int>`, `D <f64>`, `S <string>`) — the spelling every persisted
+/// operation (checkpoint, serving journal) shares.
+void WriteOperation(TokenWriter& out, const EdaOperation& op);
+
+/// Reads a phrase written by WriteOperation. Enum fields are range-checked;
+/// column indices are not (see OpExecutableOn in rl/checkpoint.h).
+Status ReadOperation(TokenReader& in, EdaOperation* op);
 
 }  // namespace atena
 

@@ -4,397 +4,201 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <iomanip>
-#include <limits>
-#include <sstream>
 
 #include "common/file_io.h"
+#include "common/token_codec.h"
 #include "nn/serialization.h"
 
 namespace atena {
 
 namespace {
 
-constexpr char kCkptMagic[] = "ATENA-CKPT v1";
+constexpr char kCkptMagic[] = "ATENA-CKPT v2";
+// The v1 payload spelled doubles in decimal, which cannot carry a NaN
+// filter term; it is rejected rather than read.
+constexpr char kRetiredCkptMagic[] = "ATENA-CKPT v1\n";
 
 std::string RenameError(const std::string& from, const std::string& to) {
   return "rename '" + from + "' -> '" + to + "' failed: " +
          std::strerror(errno) + " (errno " + std::to_string(errno) + ")";
 }
 
-// ---------------------------------------------------------------------------
-// Payload encoding. The payload is a whitespace-delimited text stream of
-// keyword-introduced sections; doubles are printed with max_digits10 so
-// every value round-trips bit-exactly, and strings are length-prefixed so
-// arbitrary dataset tokens survive.
-
-void EncodeRng(std::ostream& out, const RngState& rng) {
-  out << rng.words[0] << " " << rng.words[1] << " " << rng.words[2] << " "
-      << rng.words[3] << " " << (rng.has_spare_gaussian ? 1 : 0) << " "
-      << rng.spare_gaussian;
-}
-
-void EncodeValue(std::ostream& out, const Value& value) {
-  if (value.is_null()) {
-    out << "N";
-  } else if (value.is_int()) {
-    out << "I " << value.as_int();
-  } else if (value.is_double()) {
-    out << "D " << value.as_double();
-  } else {
-    const std::string& s = value.as_string();
-    out << "S " << s.size() << " " << s;
+void WriteOps(TokenWriter& out, const char* keyword,
+              const std::vector<EdaOperation>& ops) {
+  out.Word(keyword).Int(ops.size()).Nl();
+  for (const EdaOperation& op : ops) {
+    WriteOperation(out, op);
+    out.Nl();
   }
 }
 
-void EncodeOp(std::ostream& out, const EdaOperation& op) {
-  switch (op.type) {
-    case OpType::kBack:
-      out << "B";
-      break;
-    case OpType::kGroup:
-      out << "G " << op.group.group_column << " "
-          << static_cast<int>(op.group.agg) << " " << op.group.agg_column;
-      break;
-    case OpType::kFilter:
-      out << "F " << op.filter.column << " "
-          << static_cast<int>(op.filter.op) << " " << op.filter.term_bin
-          << " ";
-      EncodeValue(out, op.filter.term);
-      break;
+Status ReadOps(TokenReader& in, const char* keyword,
+               std::vector<EdaOperation>* ops) {
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword(keyword));
+  int64_t count = 0;
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&count, keyword));
+  // Elements are appended as they parse, never sized from the count, so
+  // a lying count costs no more memory than the bytes actually present.
+  ops->clear();
+  for (int64_t i = 0; i < count; ++i) {
+    ATENA_RETURN_IF_ERROR(ReadOperation(in, &ops->emplace_back()));
   }
-  out << "\n";
+  return Status::OK();
 }
-
-void EncodeOps(std::ostream& out, const char* keyword,
-               const std::vector<EdaOperation>& ops) {
-  out << keyword << " " << ops.size() << "\n";
-  for (const EdaOperation& op : ops) EncodeOp(out, op);
-}
-
-void EncodeMatrix(std::ostream& out, const Matrix& m) {
-  out << m.rows() << " " << m.cols() << "\n";
-  const auto& data = m.data();
-  for (size_t i = 0; i < data.size(); ++i) {
-    out << data[i] << (i + 1 == data.size() ? "" : " ");
-  }
-  out << "\n";
-}
-
-// ---------------------------------------------------------------------------
-// Payload decoding. Every read is checked; any surprise aborts the parse
-// with a Status naming the source, and nothing is committed to the caller's
-// network/optimizer until the whole payload has been validated.
-
-class PayloadReader {
- public:
-  PayloadReader(std::istream& in, const std::string& source, size_t limit)
-      : in_(in), source_(source), limit_(limit) {}
-
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("'" + source_ + "': " + what);
-  }
-
-  Status ExpectKeyword(const char* keyword) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token != keyword) {
-      return Fail("expected section '" + std::string(keyword) + "', got '" +
-                  token + "'");
-    }
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status Read(T* value, const char* what) {
-    in_ >> *value;
-    if (!in_) return Fail(std::string("truncated or malformed ") + what);
-    return Status::OK();
-  }
-
-  Status ReadCount(int64_t* count, const char* what) {
-    ATENA_RETURN_IF_ERROR(Read(count, what));
-    if (*count < 0 || static_cast<uint64_t>(*count) > limit_) {
-      return Fail(std::string("implausible ") + what + " count " +
-                  std::to_string(*count));
-    }
-    return Status::OK();
-  }
-
-  Status ReadRng(RngState* rng) {
-    for (auto& word : rng->words) {
-      ATENA_RETURN_IF_ERROR(Read(&word, "rng word"));
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare_gaussian = has_spare == 1;
-    ATENA_RETURN_IF_ERROR(Read(&rng->spare_gaussian, "rng spare value"));
-    return Status::OK();
-  }
-
-  Status ReadValue(Value* value) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated value");
-    if (tag == "N") {
-      *value = Value::Null();
-    } else if (tag == "I") {
-      int64_t v = 0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "int value"));
-      *value = Value(v);
-    } else if (tag == "D") {
-      double v = 0.0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "double value"));
-      *value = Value(v);
-    } else if (tag == "S") {
-      int64_t len = 0;
-      ATENA_RETURN_IF_ERROR(ReadCount(&len, "string length"));
-      in_.get();  // the single separator after the length
-      std::string s(static_cast<size_t>(len), '\0');
-      in_.read(s.data(), len);
-      if (!in_) return Fail("truncated string value");
-      *value = Value(std::move(s));
-    } else {
-      return Fail("unknown value tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOp(EdaOperation* op) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated operation");
-    if (tag == "B") {
-      *op = EdaOperation::Back();
-    } else if (tag == "G") {
-      int group_column = 0, agg = 0, agg_column = 0;
-      ATENA_RETURN_IF_ERROR(Read(&group_column, "group column"));
-      ATENA_RETURN_IF_ERROR(Read(&agg, "agg function"));
-      ATENA_RETURN_IF_ERROR(Read(&agg_column, "agg column"));
-      if (agg < 0 || agg >= kNumAggFuncs) {
-        return Fail("agg function " + std::to_string(agg) + " out of range");
-      }
-      *op = EdaOperation::Group(group_column, static_cast<AggFunc>(agg),
-                                agg_column);
-    } else if (tag == "F") {
-      int column = 0, cmp = 0, term_bin = 0;
-      ATENA_RETURN_IF_ERROR(Read(&column, "filter column"));
-      ATENA_RETURN_IF_ERROR(Read(&cmp, "filter operator"));
-      ATENA_RETURN_IF_ERROR(Read(&term_bin, "filter term bin"));
-      if (cmp < 0 || cmp >= kNumCompareOps) {
-        return Fail("filter operator " + std::to_string(cmp) +
-                    " out of range");
-      }
-      Value term;
-      ATENA_RETURN_IF_ERROR(ReadValue(&term));
-      *op = EdaOperation::Filter(column, static_cast<CompareOp>(cmp),
-                                 std::move(term), term_bin);
-    } else {
-      return Fail("unknown operation tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOps(const char* keyword, std::vector<EdaOperation>* ops) {
-    ATENA_RETURN_IF_ERROR(ExpectKeyword(keyword));
-    int64_t count = 0;
-    ATENA_RETURN_IF_ERROR(ReadCount(&count, keyword));
-    ops->clear();
-    for (int64_t i = 0; i < count; ++i) {
-      EdaOperation op;
-      ATENA_RETURN_IF_ERROR(ReadOp(&op));
-      ops->push_back(std::move(op));
-    }
-    return Status::OK();
-  }
-
-  /// Reads a matrix whose shape must equal `expected`'s.
-  Status ReadMatrixLike(const Matrix& expected, const char* what,
-                        Matrix* out) {
-    int rows = 0, cols = 0;
-    ATENA_RETURN_IF_ERROR(Read(&rows, what));
-    ATENA_RETURN_IF_ERROR(Read(&cols, what));
-    if (rows != expected.rows() || cols != expected.cols()) {
-      return Fail(std::string(what) + " shape " + std::to_string(rows) + "x" +
-                  std::to_string(cols) + " does not match network " +
-                  expected.ShapeString());
-    }
-    Matrix m(rows, cols);
-    for (double& v : m.data()) {
-      ATENA_RETURN_IF_ERROR(Read(&v, what));
-    }
-    *out = std::move(m);
-    return Status::OK();
-  }
-
-  std::istream& stream() { return in_; }
-  const std::string& source() const { return source_; }
-
- private:
-  std::istream& in_;
-  const std::string& source_;
-  size_t limit_;
-};
 
 }  // namespace
 
 std::string EncodeCheckpointPayload(const std::vector<Parameter*>& params,
                                     const TrainingCheckpoint& ckpt) {
-  std::ostringstream out;
-  out << std::setprecision(std::numeric_limits<double>::max_digits10);
+  std::string payload;
+  TokenWriter out(payload);
+  out.Word("steps_done").Int(ckpt.steps_done).Nl();
+  out.Word("updates_done").Int(ckpt.updates_done).Nl();
+  out.Word("trainer_rng").Rng(ckpt.trainer_rng).Nl();
+  out.Word("episodes").Int(ckpt.episodes).Nl();
+  out.Word("best_reward").F64(ckpt.best_episode_reward).Nl();
 
-  out << "steps_done " << ckpt.steps_done << "\n";
-  out << "updates_done " << ckpt.updates_done << "\n";
-  out << "trainer_rng ";
-  EncodeRng(out, ckpt.trainer_rng);
-  out << "\n";
-  out << "episodes " << ckpt.episodes << "\n";
-  out << "best_reward " << ckpt.best_episode_reward << "\n";
-
-  out << "curve " << ckpt.curve.size() << "\n";
+  out.Word("curve").Int(ckpt.curve.size()).Nl();
   for (const CurvePoint& point : ckpt.curve) {
-    out << point.step << " " << point.mean_episode_reward << "\n";
+    out.Int(point.step).F64(point.mean_episode_reward).Nl();
   }
-  out << "recent " << ckpt.recent_episode_rewards.size() << "\n";
-  for (size_t i = 0; i < ckpt.recent_episode_rewards.size(); ++i) {
-    out << ckpt.recent_episode_rewards[i]
-        << (i + 1 == ckpt.recent_episode_rewards.size() ? "" : " ");
-  }
-  out << "\n";
-  EncodeOps(out, "best_ops", ckpt.best_episode_ops);
+  out.Word("recent").Int(ckpt.recent_episode_rewards.size());
+  for (const double reward : ckpt.recent_episode_rewards) out.F64(reward);
+  out.Nl();
+  WriteOps(out, "best_ops", ckpt.best_episode_ops);
 
-  out << "actors " << ckpt.actors.size() << "\n";
+  out.Word("actors").Int(ckpt.actors.size()).Nl();
   for (const ActorCheckpoint& actor : ckpt.actors) {
-    out << "actor " << actor.env_seed << " ";
-    EncodeRng(out, actor.env_rng);
-    out << " " << actor.episode_reward << "\n";
-    EncodeOps(out, "ops", actor.episode_ops);
+    out.Word("actor")
+        .Int(actor.env_seed)
+        .Rng(actor.env_rng)
+        .F64(actor.episode_reward)
+        .Nl();
+    WriteOps(out, "ops", actor.episode_ops);
   }
 
-  out << "adam_step " << ckpt.adam_step << "\n";
-  out << "adam_moments " << ckpt.adam_m.size() << "\n";
+  out.Word("adam_step").Int(ckpt.adam_step).Nl();
+  out.Word("adam_moments").Int(ckpt.adam_m.size()).Nl();
   for (size_t k = 0; k < ckpt.adam_m.size(); ++k) {
-    EncodeMatrix(out, ckpt.adam_m[k]);
-    EncodeMatrix(out, ckpt.adam_v[k]);
+    WriteMatrix(out, ckpt.adam_m[k]);
+    WriteMatrix(out, ckpt.adam_v[k]);
   }
 
   // Guard recovery state travels only once an anomaly has occurred (see
   // TrainingCheckpoint::guard).
   if (!ckpt.guard.IsDefault()) {
-    out << "guard " << ckpt.guard.retries_used << " " << ckpt.guard.lr_scale
-        << " " << ckpt.guard.last_good_update << " "
-        << ckpt.guard.events_logged << "\n";
+    out.Word("guard")
+        .Int(ckpt.guard.retries_used)
+        .F64(ckpt.guard.lr_scale)
+        .Int(ckpt.guard.last_good_update)
+        .Int(ckpt.guard.events_logged)
+        .Nl();
   }
 
-  // The network weights, embedded as a verbatim ATENA-NN v2 block.
-  out << "params\n" << SerializeParameters(params);
-  out << "end\n";
-  return out.str();
+  // The network weights: the bare ATENA-NN parameter block.
+  out.Word("params").Nl();
+  WriteParameters(out, params);
+  out.Word("end").Nl();
+  return payload;
 }
 
 Status DecodeCheckpointPayload(const std::string& payload,
                                const std::vector<Parameter*>& params,
                                const std::string& source,
                                TrainingCheckpoint* out) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, source, payload.size());
+  TokenReader in(payload, source);
   TrainingCheckpoint ckpt;
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("steps_done"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.steps_done, "steps_done"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("updates_done"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.updates_done, "updates_done"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("trainer_rng"));
-  ATENA_RETURN_IF_ERROR(reader.ReadRng(&ckpt.trainer_rng));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("episodes"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.episodes, "episodes"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("best_reward"));
-  ATENA_RETURN_IF_ERROR(
-      reader.Read(&ckpt.best_episode_reward, "best_reward"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("steps_done"));
+  ATENA_RETURN_IF_ERROR(in.Read(&ckpt.steps_done, "steps_done"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("updates_done"));
+  ATENA_RETURN_IF_ERROR(in.Read(&ckpt.updates_done, "updates_done"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("trainer_rng"));
+  ATENA_RETURN_IF_ERROR(in.ReadRng(&ckpt.trainer_rng));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("episodes"));
+  ATENA_RETURN_IF_ERROR(in.Read(&ckpt.episodes, "episodes"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("best_reward"));
+  ATENA_RETURN_IF_ERROR(in.ReadF64(&ckpt.best_episode_reward, "best_reward"));
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("curve"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("curve"));
   int64_t curve_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&curve_count, "curve"));
-  for (int64_t i = 0; i < curve_count; ++i) {
-    CurvePoint point;
-    ATENA_RETURN_IF_ERROR(reader.Read(&point.step, "curve step"));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&curve_count, "curve"));
+  ckpt.curve.resize(static_cast<size_t>(curve_count));
+  for (CurvePoint& point : ckpt.curve) {
+    ATENA_RETURN_IF_ERROR(in.Read(&point.step, "curve step"));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&point.mean_episode_reward, "curve reward"));
-    ckpt.curve.push_back(point);
+        in.ReadF64(&point.mean_episode_reward, "curve reward"));
   }
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("recent"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("recent"));
   int64_t recent_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&recent_count, "recent"));
-  for (int64_t i = 0; i < recent_count; ++i) {
-    double reward = 0.0;
-    ATENA_RETURN_IF_ERROR(reader.Read(&reward, "recent reward"));
-    ckpt.recent_episode_rewards.push_back(reward);
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&recent_count, "recent"));
+  ckpt.recent_episode_rewards.resize(static_cast<size_t>(recent_count));
+  for (double& reward : ckpt.recent_episode_rewards) {
+    ATENA_RETURN_IF_ERROR(in.ReadF64(&reward, "recent reward"));
   }
 
-  ATENA_RETURN_IF_ERROR(reader.ReadOps("best_ops", &ckpt.best_episode_ops));
+  ATENA_RETURN_IF_ERROR(ReadOps(in, "best_ops", &ckpt.best_episode_ops));
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("actors"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("actors"));
   int64_t actor_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&actor_count, "actors"));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&actor_count, "actors"));
   for (int64_t i = 0; i < actor_count; ++i) {
-    ActorCheckpoint actor;
-    ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("actor"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&actor.env_seed, "actor env seed"));
-    ATENA_RETURN_IF_ERROR(reader.ReadRng(&actor.env_rng));
+    ActorCheckpoint& actor = ckpt.actors.emplace_back();
+    ATENA_RETURN_IF_ERROR(in.ExpectKeyword("actor"));
+    ATENA_RETURN_IF_ERROR(in.Read(&actor.env_seed, "actor env seed"));
+    ATENA_RETURN_IF_ERROR(in.ReadRng(&actor.env_rng));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&actor.episode_reward, "actor episode reward"));
-    ATENA_RETURN_IF_ERROR(reader.ReadOps("ops", &actor.episode_ops));
-    ckpt.actors.push_back(std::move(actor));
+        in.ReadF64(&actor.episode_reward, "actor episode reward"));
+    ATENA_RETURN_IF_ERROR(ReadOps(in, "ops", &actor.episode_ops));
   }
 
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("adam_step"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.adam_step, "adam_step"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("adam_moments"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("adam_step"));
+  ATENA_RETURN_IF_ERROR(in.Read(&ckpt.adam_step, "adam_step"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("adam_moments"));
   int64_t moment_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&moment_count, "adam_moments"));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&moment_count, "adam_moments"));
   if (moment_count != 0 &&
       moment_count != static_cast<int64_t>(params.size())) {
-    return reader.Fail("adam moment count " + std::to_string(moment_count) +
-                       " does not match network parameter count " +
-                       std::to_string(params.size()));
+    return in.Fail("adam moment count " + std::to_string(moment_count) +
+                   " does not match network parameter count " +
+                   std::to_string(params.size()));
   }
-  for (int64_t k = 0; k < moment_count; ++k) {
-    Matrix m, v;
-    const Matrix& expected = params[static_cast<size_t>(k)]->value;
-    ATENA_RETURN_IF_ERROR(reader.ReadMatrixLike(expected, "adam m", &m));
-    ATENA_RETURN_IF_ERROR(reader.ReadMatrixLike(expected, "adam v", &v));
-    ckpt.adam_m.push_back(std::move(m));
-    ckpt.adam_v.push_back(std::move(v));
+  ckpt.adam_m.resize(static_cast<size_t>(moment_count));
+  ckpt.adam_v.resize(static_cast<size_t>(moment_count));
+  for (size_t k = 0; k < ckpt.adam_m.size(); ++k) {
+    const Matrix& expected = params[k]->value;
+    ATENA_RETURN_IF_ERROR(
+        ReadMatrixLike(in, expected, "adam m", &ckpt.adam_m[k]));
+    ATENA_RETURN_IF_ERROR(
+        ReadMatrixLike(in, expected, "adam v", &ckpt.adam_v[k]));
   }
 
   // The optional guard section sits between the Adam moments and the
   // parameter block; its absence means "no guard event ever happened".
-  std::string section;
-  ATENA_RETURN_IF_ERROR(reader.Read(&section, "section keyword"));
+  std::string_view section;
+  ATENA_RETURN_IF_ERROR(in.Token(&section, "section keyword"));
   if (section == "guard") {
+    GuardCheckpointState& guard = ckpt.guard;
+    ATENA_RETURN_IF_ERROR(in.Read(&guard.retries_used, "guard retries"));
+    ATENA_RETURN_IF_ERROR(in.ReadF64(&guard.lr_scale, "guard lr scale"));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&ckpt.guard.retries_used, "guard retries"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&ckpt.guard.lr_scale, "guard lr scale"));
-    ATENA_RETURN_IF_ERROR(
-        reader.Read(&ckpt.guard.last_good_update, "guard last good update"));
-    ATENA_RETURN_IF_ERROR(
-        reader.Read(&ckpt.guard.events_logged, "guard events"));
-    if (ckpt.guard.retries_used < 0 || ckpt.guard.last_good_update < 0 ||
-        ckpt.guard.events_logged < 0 || !(ckpt.guard.lr_scale > 0.0) ||
-        !std::isfinite(ckpt.guard.lr_scale)) {
-      return reader.Fail("implausible guard state");
+        in.Read(&guard.last_good_update, "guard last good update"));
+    ATENA_RETURN_IF_ERROR(in.Read(&guard.events_logged, "guard events"));
+    if (guard.retries_used < 0 || guard.last_good_update < 0 ||
+        guard.events_logged < 0 || !(guard.lr_scale > 0.0) ||
+        !std::isfinite(guard.lr_scale)) {
+      return in.Fail("implausible guard state");
     }
-    ATENA_RETURN_IF_ERROR(reader.Read(&section, "section keyword"));
+    ATENA_RETURN_IF_ERROR(in.Token(&section, "section keyword"));
   }
   if (section != "params") {
-    return reader.Fail("expected section 'params', got '" + section + "'");
+    return in.Fail("expected section 'params', got '" + std::string(section) +
+                   "'");
   }
-  ATENA_RETURN_IF_ERROR(
-      ParseParametersInto(params, reader.stream(), source,
-                          &ckpt.param_values));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("end"));
+  ATENA_RETURN_IF_ERROR(ParseParametersInto(params, in, &ckpt.param_values));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("end"));
+  if (!in.AtEnd()) return in.Fail("trailing bytes after 'end'");
 
   *out = std::move(ckpt);
   return Status::OK();
@@ -474,25 +278,22 @@ Status LoadPolicyParameters(const std::string& path,
   std::string text;
   const Status read = ReadFileToString(path, &text);
   if (read.ok() && text.rfind("ATENA-NN", 0) == 0) {
-    std::istringstream in(text);
-    std::vector<Matrix> staged;
-    Status parsed = ParseParametersInto(params, in, path, &staged);
-    if (!parsed.ok()) {
-      if (parsed.code() == StatusCode::kFailedPrecondition) {
-        // Architecture mismatch: the container was trained with a network
-        // this policy was not constructed as. Keep the shape detail and
-        // say what to fix.
-        return Status::FailedPrecondition(
-            "'" + path + "': " + parsed.message() +
-            " — the policy must be constructed with the hidden sizes and "
-            "dataset schema the container was trained with");
-      }
-      return parsed;
+    const Status loaded = LoadParameters(params, path);
+    if (loaded.code() == StatusCode::kFailedPrecondition) {
+      // Architecture mismatch: the container was trained with a network
+      // this policy was not constructed as. Keep the shape detail and say
+      // what to fix.
+      return Status::FailedPrecondition(
+          "'" + path + "': " + loaded.message() +
+          " — the policy must be constructed with the hidden sizes and "
+          "dataset schema the container was trained with");
     }
-    for (size_t k = 0; k < staged.size(); ++k) {
-      params[k]->value = std::move(staged[k]);
-    }
-    return Status::OK();
+    return loaded;
+  }
+  if (read.ok() && text.rfind(kRetiredCkptMagic, 0) == 0) {
+    return Status::InvalidArgument("'" + path + "' is a retired " +
+                                   std::string(kRetiredCkptMagic) +
+                                   " checkpoint; re-save it with this build");
   }
 
   // Anything else is treated as an ATENA-CKPT container; the loader

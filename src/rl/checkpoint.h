@@ -13,17 +13,23 @@
 
 namespace atena {
 
-/// Durable training checkpoints — the `ATENA-CKPT v1` container.
+/// Durable training checkpoints — the `ATENA-CKPT v2` container.
 ///
 /// A checkpoint captures *everything* ParallelPpoTrainer::Train needs to
 /// continue a run bit-identically after a crash or interruption: the
-/// network weights (the existing ATENA-NN v2 block, embedded verbatim), the
+/// network weights (the bare ATENA-NN parameter block), the
 /// Adam moments and step count that a bare weight file silently loses, the
 /// trainer's rollout position and Rng stream, the learning curve and
 /// best-episode record accumulated so far, and — per actor — the
 /// environment seed, the environment's Rng stream, and the in-flight
 /// episode's resolved operations (replayed on resume to rebuild the display
 /// stack deterministically without consuming any randomness).
+///
+/// The payload uses the token spelling shared with weight files and the
+/// serving journal (common/token_codec.h): doubles are IEEE-754 bit
+/// patterns, so every value — NaN filter terms and -0.0 included —
+/// round-trips bit-exactly. The retired `ATENA-CKPT v1`, which spelled
+/// doubles in decimal, is rejected.
 ///
 /// On disk the payload travels inside a CRC32-checksummed frame
 /// (common/file_io.h) and is written with atomic rotation: the previous
@@ -44,7 +50,7 @@ struct ActorCheckpoint {
   std::vector<EdaOperation> episode_ops;
 };
 
-/// In-memory image of one ATENA-CKPT v1 snapshot.
+/// In-memory image of one ATENA-CKPT v2 snapshot.
 struct TrainingCheckpoint {
   /// Rollout position: environment steps completed across all actors.
   int steps_done = 0;
@@ -138,10 +144,11 @@ bool OpExecutableOn(const Table& table, const EdaOperation& op);
 
 /// Loads ONLY the network weights from `path` into `params`, accepting
 /// either container this project writes:
-///  - a bare ATENA-NN v2 parameter file (nn/serialization.h), or
-///  - a full ATENA-CKPT v1 training checkpoint, whose embedded parameter
+///  - a bare ATENA-NN v3 weight file (nn/serialization.h), or
+///  - a full ATENA-CKPT v2 training checkpoint, whose embedded parameter
 ///    block is used (with the same `.prev` fallback as
 ///    LoadTrainingCheckpoint when the primary is corrupt).
+/// The retired ATENA-NN v2 and ATENA-CKPT v1 formats are InvalidArgument.
 /// The container's architecture is validated against the constructed
 /// network (parameter count, names, shapes): a policy built with different
 /// hidden sizes or over a different dataset schema fails with a

@@ -1,13 +1,10 @@
 #include "serve/journal.h"
 
-#include <charconv>
-#include <cstdio>
-#include <cstring>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
 #include "common/file_io.h"
+#include "common/token_codec.h"
 
 namespace atena {
 
@@ -63,329 +60,116 @@ RngState MaterializeJournalRng(const JournalRng& rng,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Payload encoding: the checkpoint container's idiom (rl/checkpoint.cc) —
+// Payload encoding, in the shared token spelling (common/token_codec.h):
 // whitespace-delimited keyword sections, strings length-prefixed so
-// arbitrary dataset tokens survive. Encoding runs on the serving hot path
-// (one tick record per Tick), so numbers append via std::to_chars into one
-// growing string — no ostream formatting. Doubles encode as the 16-hex-
-// digit IEEE-754 bit pattern: exact by construction and several times
-// cheaper than shortest-round-trip decimal on both the encode and the
-// replay-parse side.
+// arbitrary dataset tokens survive, doubles as their IEEE-754 bit pattern —
+// exact by construction and several times cheaper than shortest-round-trip
+// decimal on both the encode (one tick record per Tick, on the serving hot
+// path) and the replay-parse side.
 
-template <typename T>
-void Num(std::string& out, T value) {
-  char buf[40];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  out.append(buf, result.ptr);
-}
-
-void F64(std::string& out, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  char buf[16];
-  for (int i = 15; i >= 0; --i) {
-    buf[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
+// Tick entries carry the delta form when possible ("d <draws> <spare>"),
+// the full state ("F <state>") otherwise — the dominant byte saving of the
+// tick record. A cleared/absent spare keeps its pre-step bytes, so its
+// value is omitted (MaterializeJournalRng carries it from `current`).
+void WriteJournalRng(TokenWriter& out, const JournalRng& rng) {
+  if (rng.full) {
+    out.Word("F").Rng(rng.state);
+    return;
   }
-  out.append(buf, sizeof(buf));
+  out.Word("d").Int(rng.draws).Bool(rng.has_spare);
+  if (rng.has_spare) out.F64(rng.spare);
 }
 
-void Sp(std::string& out) { out.push_back(' '); }
-void Nl(std::string& out) { out.push_back('\n'); }
-
-void EncodeRng(std::string& out, const RngState& rng) {
-  Num(out, rng.words[0]);
-  Sp(out);
-  Num(out, rng.words[1]);
-  Sp(out);
-  Num(out, rng.words[2]);
-  Sp(out);
-  Num(out, rng.words[3]);
-  Sp(out);
-  Num(out, rng.has_spare_gaussian ? 1 : 0);
-  Sp(out);
-  F64(out, rng.spare_gaussian);
-}
-
-void EncodeValue(std::string& out, const Value& value) {
-  if (value.is_null()) {
-    out += 'N';
-  } else if (value.is_int()) {
-    out += "I ";
-    Num(out, value.as_int());
-  } else if (value.is_double()) {
-    out += "D ";
-    F64(out, value.as_double());
-  } else {
-    const std::string& s = value.as_string();
-    out += "S ";
-    Num(out, s.size());
-    Sp(out);
-    out += s;
-  }
-}
-
-void EncodeOp(std::string& out, const EdaOperation& op) {
-  switch (op.type) {
-    case OpType::kBack:
-      out += 'B';
-      break;
-    case OpType::kGroup:
-      out += "G ";
-      Num(out, op.group.group_column);
-      Sp(out);
-      Num(out, static_cast<int>(op.group.agg));
-      Sp(out);
-      Num(out, op.group.agg_column);
-      break;
-    case OpType::kFilter:
-      out += "F ";
-      Num(out, op.filter.column);
-      Sp(out);
-      Num(out, static_cast<int>(op.filter.op));
-      Sp(out);
-      Num(out, op.filter.term_bin);
-      Sp(out);
-      EncodeValue(out, op.filter.term);
-      break;
-  }
-}
-
-void EncodeStep(std::string& out, const JournalStep& step) {
-  Num(out, step.valid ? 1 : 0);
-  Sp(out);
-  F64(out, step.reward);
-  Sp(out);
-  Num(out, step.display_signature);
-  Sp(out);
-  EncodeOp(out, step.op);
-}
-
-void EncodeString(std::string& out, const std::string& s) {
-  Num(out, s.size());
-  Sp(out);
-  out += s;
+void WriteStep(TokenWriter& out, const EdaOperation& op, bool valid,
+               double reward, uint64_t display_signature) {
+  out.Bool(valid).F64(reward).Int(display_signature);
+  WriteOperation(out, op);
 }
 
 std::string EncodeMetaPayload(const JournalMeta& meta) {
-  std::string out;
-  out += "version ";
-  Num(out, meta.version);
-  Nl(out);
-  out += "dataset ";
-  EncodeString(out, meta.dataset_id);
-  Nl(out);
-  out += "obs_dim ";
-  Num(out, meta.observation_dim);
-  Nl(out);
-  out += "episode_length ";
-  Num(out, meta.episode_length);
-  Nl(out);
-  out += "term_bins ";
-  Num(out, meta.num_term_bins);
-  Nl(out);
-  return out;
+  std::string payload;
+  TokenWriter out(payload);
+  out.Word("version").Int(meta.version).Nl();
+  out.Word("dataset").String(meta.dataset_id).Nl();
+  out.Word("obs_dim").Int(meta.observation_dim).Nl();
+  out.Word("episode_length").Int(meta.episode_length).Nl();
+  out.Word("term_bins").Int(meta.num_term_bins).Nl();
+  return payload;
 }
 
 std::string EncodeAdmitPayload(const JournalAdmit& admit) {
-  std::string out;
-  Num(out, admit.id);
-  Sp(out);
-  Num(out, admit.seed);
-  Sp(out);
-  Num(out, admit.max_steps);
-  Sp(out);
-  Num(out, admit.greedy ? 1 : 0);
-  Sp(out);
-  Num(out, admit.gen);
-  Nl(out);
-  return out;
+  std::string payload;
+  TokenWriter(payload)
+      .Int(admit.id)
+      .Int(admit.seed)
+      .Int(admit.max_steps)
+      .Bool(admit.greedy)
+      .Int(admit.gen)
+      .Nl();
+  return payload;
 }
 
 std::string EncodeReloadPayload(const JournalReload& reload) {
-  std::string out;
-  Num(out, reload.gen);
-  Sp(out);
-  EncodeString(out, reload.path);
-  Nl(out);
-  return out;
+  std::string payload;
+  TokenWriter(payload).Int(reload.gen).String(reload.path).Nl();
+  return payload;
 }
 
 std::string TickPayloadHeader(bool overloaded, size_t count) {
-  std::string out;
-  Num(out, overloaded ? 1 : 0);
-  Sp(out);
-  Num(out, count);
-  Nl(out);
-  return out;
-}
-
-// Raw char* variants of the encoders above, for the per-entry stack
-// buffer below (same bytes, no per-token std::string::append).
-template <typename T>
-char* PutNum(char* p, char* end, T value) {
-  return std::to_chars(p, end, value).ptr;
-}
-
-char* PutF64(char* p, double value) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  for (int i = 15; i >= 0; --i) {
-    p[i] = "0123456789abcdef"[bits & 0xF];
-    bits >>= 4;
-  }
-  return p + 16;
-}
-
-// Tick entries carry the delta form when possible ("d <draws> <spare>"),
-// the full state ("F <state>", EncodeRng's bytes) otherwise — the
-// dominant byte saving of the tick record.
-char* PutJournalRng(char* p, char* end, const JournalRng& rng) {
-  if (rng.full) {
-    *p++ = 'F';
-    *p++ = ' ';
-    for (const uint64_t word : rng.state.words) {
-      p = PutNum(p, end, word);
-      *p++ = ' ';
-    }
-    *p++ = rng.state.has_spare_gaussian ? '1' : '0';
-    *p++ = ' ';
-    return PutF64(p, rng.state.spare_gaussian);
-  }
-  *p++ = 'd';
-  *p++ = ' ';
-  p = PutNum(p, end, rng.draws);
-  *p++ = ' ';
-  if (rng.has_spare) {
-    *p++ = '1';
-    *p++ = ' ';
-    return PutF64(p, rng.spare);
-  }
-  // A cleared/absent spare keeps its pre-step bytes; the value is omitted
-  // (MaterializeJournalRng carries it from `current`).
-  *p++ = '0';
-  return p;
-}
-
-// Everything up to the operation is fixed-bounded (≲300 bytes even with
-// two full-state fallbacks), so it encodes into one stack buffer and
-// lands in the payload as a single append; the operation tail can carry
-// an arbitrary dataset string, so it keeps the growing-string encoders.
-void EncodeTickEntryStep(std::string& out, uint64_t id, int end,
-                         int stage_after, const JournalRng& env,
-                         const JournalRng& act, const EdaOperation& op,
-                         bool valid, double reward,
-                         uint64_t display_signature) {
-  char buf[384];
-  char* const limit = buf + sizeof(buf);
-  char* p = buf;
-  *p++ = 's';
-  *p++ = ' ';
-  p = PutNum(p, limit, id);
-  *p++ = ' ';
-  p = PutNum(p, limit, end);
-  *p++ = ' ';
-  p = PutNum(p, limit, stage_after);
-  *p++ = ' ';
-  p = PutJournalRng(p, limit, env);
-  *p++ = ' ';
-  p = PutJournalRng(p, limit, act);
-  *p++ = ' ';
-  *p++ = valid ? '1' : '0';
-  *p++ = ' ';
-  p = PutF64(p, reward);
-  *p++ = ' ';
-  p = PutNum(p, limit, display_signature);
-  *p++ = ' ';
-  out.append(buf, static_cast<size_t>(p - buf));
-  EncodeOp(out, op);
-  Nl(out);
+  std::string payload;
+  TokenWriter(payload).Bool(overloaded).Int(count).Nl();
+  return payload;
 }
 
 std::string EncodeStopPayload(const std::vector<uint64_t>& ids) {
-  std::string out;
-  Num(out, ids.size());
-  for (uint64_t id : ids) {
-    Sp(out);
-    Num(out, id);
-  }
-  Nl(out);
-  return out;
+  std::string payload;
+  TokenWriter out(payload);
+  out.Int(ids.size());
+  for (uint64_t id : ids) out.Int(id);
+  out.Nl();
+  return payload;
 }
 
 std::string EncodeSnapPayload(const JournalSnapshot& snap) {
-  std::string out;
-  out.reserve(256 + snap.sessions.size() * 512);
-  out += "next_id ";
-  Num(out, snap.next_id);
-  Nl(out);
-  out += "steps_served ";
-  Num(out, snap.steps_served);
-  Nl(out);
-  out += "overloaded ";
-  Num(out, snap.overloaded ? 1 : 0);
-  Nl(out);
-  out += "stats ";
-  Num(out, snap.stats.size());
-  for (int64_t v : snap.stats) {
-    Sp(out);
-    Num(out, v);
-  }
-  Nl(out);
-  out += "gens ";
-  Num(out, snap.generation_paths.size());
-  Nl(out);
+  std::string payload;
+  payload.reserve(256 + snap.sessions.size() * 512);
+  TokenWriter out(payload);
+  out.Word("next_id").Int(snap.next_id).Nl();
+  out.Word("steps_served").Int(snap.steps_served).Nl();
+  out.Word("overloaded").Bool(snap.overloaded).Nl();
+  out.Word("stats").Int(snap.stats.size());
+  for (int64_t v : snap.stats) out.Int(v);
+  out.Nl();
+  out.Word("gens").Int(snap.generation_paths.size()).Nl();
   for (const std::string& path : snap.generation_paths) {
-    EncodeString(out, path);
-    Nl(out);
+    out.String(path).Nl();
   }
-  out += "current_gen ";
-  Num(out, snap.current_gen);
-  Nl(out);
-  out += "notebook_seq ";
-  Num(out, snap.notebook_seq);
-  Nl(out);
-  out += "sessions ";
-  Num(out, snap.sessions.size());
-  Nl(out);
+  out.Word("current_gen").Int(snap.current_gen).Nl();
+  out.Word("notebook_seq").Int(snap.notebook_seq).Nl();
+  out.Word("sessions").Int(snap.sessions.size()).Nl();
   for (const JournalSessionState& s : snap.sessions) {
-    out += "session ";
-    Num(out, s.id);
-    Sp(out);
-    Num(out, s.seed);
-    Sp(out);
-    Num(out, s.max_steps);
-    Sp(out);
-    Num(out, s.greedy ? 1 : 0);
-    Sp(out);
-    Num(out, s.gen);
-    Sp(out);
-    Num(out, s.steps_done);
-    Sp(out);
-    Num(out, s.stage);
-    Sp(out);
-    Num(out, s.degraded_steps);
-    Sp(out);
-    Num(out, s.episode_steps);
-    Sp(out);
-    F64(out, s.total_reward);
-    Nl(out);
-    out += "env_rng ";
-    EncodeRng(out, s.env_rng);
-    Nl(out);
-    out += "act_rng ";
-    EncodeRng(out, s.act_rng);
-    Nl(out);
-    out += "trace ";
-    Num(out, s.trace.size());
-    Nl(out);
+    out.Word("session")
+        .Int(s.id)
+        .Int(s.seed)
+        .Int(s.max_steps)
+        .Bool(s.greedy)
+        .Int(s.gen)
+        .Int(s.steps_done)
+        .Int(s.stage)
+        .Int(s.degraded_steps)
+        .Int(s.episode_steps)
+        .F64(s.total_reward)
+        .Nl();
+    out.Word("env_rng").Rng(s.env_rng).Nl();
+    out.Word("act_rng").Rng(s.act_rng).Nl();
+    out.Word("trace").Int(s.trace.size()).Nl();
     for (const JournalStep& step : s.trace) {
-      EncodeStep(out, step);
-      Nl(out);
+      WriteStep(out, step.op, step.valid, step.reward, step.display_signature);
+      out.Nl();
     }
   }
-  out += "end\n";
-  return out;
+  out.Word("end").Nl();
+  return payload;
 }
 
 // ---------------------------------------------------------------------------
@@ -393,258 +177,104 @@ std::string EncodeSnapPayload(const JournalSnapshot& snap) {
 // parse with a Status, which the journal reader maps to prefix semantics
 // (drop this record and everything after it).
 
-class PayloadReader {
- public:
-  PayloadReader(std::istream& in, size_t limit) : in_(in), limit_(limit) {}
+constexpr char kRecordSource[] = "journal record";
 
-  Status Fail(const std::string& what) {
-    return Status::InvalidArgument("journal record: " + what);
+Status ReadJournalRng(TokenReader& in, JournalRng* rng) {
+  std::string_view tag;
+  ATENA_RETURN_IF_ERROR(in.Token(&tag, "rng tag"));
+  if (tag == "F") {
+    rng->full = true;
+    return in.ReadRng(&rng->state);
   }
-
-  Status ExpectKeyword(const char* keyword) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token != keyword) {
-      return Fail("expected section '" + std::string(keyword) + "', got '" +
-                  token + "'");
-    }
-    return Status::OK();
+  if (tag != "d") return in.Fail("unknown rng tag '" + std::string(tag) + "'");
+  rng->full = false;
+  ATENA_RETURN_IF_ERROR(in.Read(&rng->draws, "rng draw delta"));
+  if (rng->draws > kMaxJournalRngDelta) {
+    return in.Fail("rng draw delta " + std::to_string(rng->draws) +
+                   " out of range");
   }
-
-  template <typename T>
-  Status Read(T* value, const char* what) {
-    in_ >> *value;
-    if (!in_) return Fail(std::string("truncated or malformed ") + what);
-    return Status::OK();
+  ATENA_RETURN_IF_ERROR(in.ReadBool(&rng->has_spare, "rng spare flag"));
+  rng->spare = 0.0;
+  if (rng->has_spare) {
+    ATENA_RETURN_IF_ERROR(in.ReadF64(&rng->spare, "rng spare value"));
   }
+  return Status::OK();
+}
 
-  Status ReadBool(bool* value, const char* what) {
-    int flag = 0;
-    ATENA_RETURN_IF_ERROR(Read(&flag, what));
-    if (flag != 0 && flag != 1) return Fail(std::string("non-boolean ") + what);
-    *value = flag == 1;
-    return Status::OK();
-  }
-
-  Status ReadCount(int64_t* count, const char* what) {
-    ATENA_RETURN_IF_ERROR(Read(count, what));
-    if (*count < 0 || static_cast<uint64_t>(*count) > limit_) {
-      return Fail(std::string("implausible ") + what + " count " +
-                  std::to_string(*count));
-    }
-    return Status::OK();
-  }
-
-  /// Doubles travel as the 16-hex-digit IEEE-754 bit pattern (see F64).
-  Status ReadF64(double* value, const char* what) {
-    std::string token;
-    in_ >> token;
-    if (!in_ || token.size() != 16) {
-      return Fail(std::string("truncated or malformed ") + what);
-    }
-    uint64_t bits = 0;
-    const auto result =
-        std::from_chars(token.data(), token.data() + token.size(), bits, 16);
-    if (result.ec != std::errc() || result.ptr != token.data() + token.size()) {
-      return Fail(std::string("truncated or malformed ") + what);
-    }
-    std::memcpy(value, &bits, sizeof(bits));
-    return Status::OK();
-  }
-
-  Status ReadString(std::string* out, const char* what) {
-    int64_t len = 0;
-    ATENA_RETURN_IF_ERROR(ReadCount(&len, what));
-    in_.get();  // the single separator after the length
-    std::string s(static_cast<size_t>(len), '\0');
-    in_.read(s.data(), len);
-    if (!in_) return Fail(std::string("truncated ") + what);
-    *out = std::move(s);
-    return Status::OK();
-  }
-
-  Status ReadRng(RngState* rng) {
-    for (auto& word : rng->words) {
-      ATENA_RETURN_IF_ERROR(Read(&word, "rng word"));
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare_gaussian = has_spare == 1;
-    ATENA_RETURN_IF_ERROR(ReadF64(&rng->spare_gaussian, "rng spare value"));
-    return Status::OK();
-  }
-
-  Status ReadJournalRng(JournalRng* rng) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated rng");
-    if (tag == "F") {
-      rng->full = true;
-      return ReadRng(&rng->state);
-    }
-    if (tag != "d") return Fail("unknown rng tag '" + tag + "'");
-    rng->full = false;
-    ATENA_RETURN_IF_ERROR(Read(&rng->draws, "rng draw delta"));
-    if (rng->draws > kMaxJournalRngDelta) {
-      return Fail("rng draw delta " + std::to_string(rng->draws) +
-                  " out of range");
-    }
-    int has_spare = 0;
-    ATENA_RETURN_IF_ERROR(Read(&has_spare, "rng spare flag"));
-    if (has_spare != 0 && has_spare != 1) return Fail("rng spare flag");
-    rng->has_spare = has_spare == 1;
-    rng->spare = 0.0;
-    if (rng->has_spare) {
-      ATENA_RETURN_IF_ERROR(ReadF64(&rng->spare, "rng spare value"));
-    }
-    return Status::OK();
-  }
-
-  Status ReadValue(Value* value) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated value");
-    if (tag == "N") {
-      *value = Value::Null();
-    } else if (tag == "I") {
-      int64_t v = 0;
-      ATENA_RETURN_IF_ERROR(Read(&v, "int value"));
-      *value = Value(v);
-    } else if (tag == "D") {
-      double v = 0.0;
-      ATENA_RETURN_IF_ERROR(ReadF64(&v, "double value"));
-      *value = Value(v);
-    } else if (tag == "S") {
-      std::string s;
-      ATENA_RETURN_IF_ERROR(ReadString(&s, "string value"));
-      *value = Value(std::move(s));
-    } else {
-      return Fail("unknown value tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadOp(EdaOperation* op) {
-    std::string tag;
-    in_ >> tag;
-    if (!in_) return Fail("truncated operation");
-    if (tag == "B") {
-      *op = EdaOperation::Back();
-    } else if (tag == "G") {
-      int group_column = 0, agg = 0, agg_column = 0;
-      ATENA_RETURN_IF_ERROR(Read(&group_column, "group column"));
-      ATENA_RETURN_IF_ERROR(Read(&agg, "agg function"));
-      ATENA_RETURN_IF_ERROR(Read(&agg_column, "agg column"));
-      if (agg < 0 || agg >= kNumAggFuncs) {
-        return Fail("agg function " + std::to_string(agg) + " out of range");
-      }
-      *op = EdaOperation::Group(group_column, static_cast<AggFunc>(agg),
-                                agg_column);
-    } else if (tag == "F") {
-      int column = 0, cmp = 0, term_bin = 0;
-      ATENA_RETURN_IF_ERROR(Read(&column, "filter column"));
-      ATENA_RETURN_IF_ERROR(Read(&cmp, "filter operator"));
-      ATENA_RETURN_IF_ERROR(Read(&term_bin, "filter term bin"));
-      if (cmp < 0 || cmp >= kNumCompareOps) {
-        return Fail("filter operator " + std::to_string(cmp) +
-                    " out of range");
-      }
-      Value term;
-      ATENA_RETURN_IF_ERROR(ReadValue(&term));
-      *op = EdaOperation::Filter(column, static_cast<CompareOp>(cmp),
-                                 std::move(term), term_bin);
-    } else {
-      return Fail("unknown operation tag '" + tag + "'");
-    }
-    return Status::OK();
-  }
-
-  Status ReadStep(JournalStep* step) {
-    ATENA_RETURN_IF_ERROR(ReadBool(&step->valid, "step valid flag"));
-    ATENA_RETURN_IF_ERROR(ReadF64(&step->reward, "step reward"));
-    ATENA_RETURN_IF_ERROR(Read(&step->display_signature, "step signature"));
-    return ReadOp(&step->op);
-  }
-
- private:
-  std::istream& in_;
-  size_t limit_;
-};
+Status ReadStep(TokenReader& in, JournalStep* step) {
+  ATENA_RETURN_IF_ERROR(in.ReadBool(&step->valid, "step valid flag"));
+  ATENA_RETURN_IF_ERROR(in.ReadF64(&step->reward, "step reward"));
+  ATENA_RETURN_IF_ERROR(in.Read(&step->display_signature, "step signature"));
+  return ReadOperation(in, &step->op);
+}
 
 Status DecodeMetaPayload(const std::string& payload, JournalMeta* meta) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   JournalMeta out;
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("version"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.version, "version"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("dataset"));
-  ATENA_RETURN_IF_ERROR(reader.ReadString(&out.dataset_id, "dataset id"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("obs_dim"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.observation_dim, "obs_dim"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("episode_length"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.episode_length, "episode_length"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("term_bins"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.num_term_bins, "term_bins"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("version"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.version, "version"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("dataset"));
+  ATENA_RETURN_IF_ERROR(in.ReadString(&out.dataset_id, "dataset id"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("obs_dim"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.observation_dim, "obs_dim"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("episode_length"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.episode_length, "episode_length"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("term_bins"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.num_term_bins, "term_bins"));
   *meta = std::move(out);
   return Status::OK();
 }
 
 Status DecodeAdmitPayload(const std::string& payload, JournalAdmit* admit) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   JournalAdmit out;
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.id, "admit id"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.seed, "admit seed"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.max_steps, "admit max_steps"));
-  ATENA_RETURN_IF_ERROR(reader.ReadBool(&out.greedy, "admit greedy flag"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.gen, "admit generation"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.id, "admit id"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.seed, "admit seed"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.max_steps, "admit max_steps"));
+  ATENA_RETURN_IF_ERROR(in.ReadBool(&out.greedy, "admit greedy flag"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.gen, "admit generation"));
   *admit = out;
   return Status::OK();
 }
 
 Status DecodeReloadPayload(const std::string& payload, JournalReload* reload) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   JournalReload out;
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.gen, "reload generation"));
-  ATENA_RETURN_IF_ERROR(reader.ReadString(&out.path, "reload path"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.gen, "reload generation"));
+  ATENA_RETURN_IF_ERROR(in.ReadString(&out.path, "reload path"));
   *reload = std::move(out);
   return Status::OK();
 }
 
 Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   JournalTick out;
-  ATENA_RETURN_IF_ERROR(reader.ReadBool(&out.overloaded, "tick overloaded"));
+  ATENA_RETURN_IF_ERROR(in.ReadBool(&out.overloaded, "tick overloaded"));
   int64_t count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&count, "tick entry"));
-  out.entries.reserve(static_cast<size_t>(count));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&count, "tick entry"));
   for (int64_t i = 0; i < count; ++i) {
-    std::string tag;
-    if (!(in >> tag)) return reader.Fail("truncated tick entry");
-    JournalTickEntry entry;
+    std::string_view tag;
+    ATENA_RETURN_IF_ERROR(in.Token(&tag, "tick entry tag"));
+    JournalTickEntry& entry = out.entries.emplace_back();
     if (tag == "q") {
       entry.kind = JournalTickEntry::Kind::kQuarantine;
-      ATENA_RETURN_IF_ERROR(reader.Read(&entry.id, "quarantine id"));
+      ATENA_RETURN_IF_ERROR(in.Read(&entry.id, "quarantine id"));
     } else if (tag == "s") {
       entry.kind = JournalTickEntry::Kind::kStep;
-      ATENA_RETURN_IF_ERROR(reader.Read(&entry.id, "step id"));
-      ATENA_RETURN_IF_ERROR(reader.Read(&entry.end, "step end"));
+      ATENA_RETURN_IF_ERROR(in.Read(&entry.id, "step id"));
+      ATENA_RETURN_IF_ERROR(in.Read(&entry.end, "step end"));
       if (entry.end < JournalTickEntry::kLive ||
           entry.end > JournalTickEntry::kDeadlineRetired) {
-        return reader.Fail("step end " + std::to_string(entry.end) +
-                           " out of range");
+        return in.Fail("step end " + std::to_string(entry.end) +
+                       " out of range");
       }
-      ATENA_RETURN_IF_ERROR(reader.Read(&entry.stage_after, "step stage"));
-      ATENA_RETURN_IF_ERROR(reader.ReadJournalRng(&entry.env_rng));
-      ATENA_RETURN_IF_ERROR(reader.ReadJournalRng(&entry.act_rng));
-      ATENA_RETURN_IF_ERROR(reader.ReadStep(&entry.step));
+      ATENA_RETURN_IF_ERROR(in.Read(&entry.stage_after, "step stage"));
+      ATENA_RETURN_IF_ERROR(ReadJournalRng(in, &entry.env_rng));
+      ATENA_RETURN_IF_ERROR(ReadJournalRng(in, &entry.act_rng));
+      ATENA_RETURN_IF_ERROR(ReadStep(in, &entry.step));
     } else {
-      return reader.Fail("unknown tick entry tag '" + tag + "'");
+      return in.Fail("unknown tick entry tag '" + std::string(tag) + "'");
     }
-    out.entries.push_back(std::move(entry));
   }
   *tick = std::move(out);
   return Status::OK();
@@ -652,95 +282,83 @@ Status DecodeTickPayload(const std::string& payload, JournalTick* tick) {
 
 Status DecodeStopPayload(const std::string& payload,
                          std::vector<uint64_t>* ids) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   int64_t count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&count, "stop id"));
-  std::vector<uint64_t> out;
-  out.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i) {
-    uint64_t id = 0;
-    ATENA_RETURN_IF_ERROR(reader.Read(&id, "stop id"));
-    out.push_back(id);
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&count, "stop id"));
+  std::vector<uint64_t> out(static_cast<size_t>(count));
+  for (uint64_t& id : out) {
+    ATENA_RETURN_IF_ERROR(in.Read(&id, "stop id"));
   }
   *ids = std::move(out);
   return Status::OK();
 }
 
 Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
-  std::istringstream in(payload);
-  PayloadReader reader(in, payload.size());
+  TokenReader in(payload, kRecordSource);
   JournalSnapshot out;
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("next_id"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.next_id, "next_id"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("steps_served"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.steps_served, "steps_served"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("overloaded"));
-  ATENA_RETURN_IF_ERROR(reader.ReadBool(&out.overloaded, "overloaded"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("stats"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("next_id"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.next_id, "next_id"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("steps_served"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.steps_served, "steps_served"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("overloaded"));
+  ATENA_RETURN_IF_ERROR(in.ReadBool(&out.overloaded, "overloaded"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("stats"));
   int64_t stat_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&stat_count, "stats"));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&stat_count, "stats"));
   out.stats.resize(static_cast<size_t>(stat_count));
   for (int64_t& v : out.stats) {
-    ATENA_RETURN_IF_ERROR(reader.Read(&v, "stats value"));
+    ATENA_RETURN_IF_ERROR(in.Read(&v, "stats value"));
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("gens"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("gens"));
   int64_t gen_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&gen_count, "generation"));
-  if (gen_count < 1) return reader.Fail("empty generation table");
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&gen_count, "generation"));
+  if (gen_count < 1) return in.Fail("empty generation table");
   out.generation_paths.resize(static_cast<size_t>(gen_count));
   for (std::string& path : out.generation_paths) {
-    ATENA_RETURN_IF_ERROR(reader.ReadString(&path, "generation path"));
+    ATENA_RETURN_IF_ERROR(in.ReadString(&path, "generation path"));
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("current_gen"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.current_gen, "current_gen"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("current_gen"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.current_gen, "current_gen"));
   if (out.current_gen >= out.generation_paths.size()) {
-    return reader.Fail("current_gen out of range");
+    return in.Fail("current_gen out of range");
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("notebook_seq"));
-  ATENA_RETURN_IF_ERROR(reader.Read(&out.notebook_seq, "notebook_seq"));
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("sessions"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("notebook_seq"));
+  ATENA_RETURN_IF_ERROR(in.Read(&out.notebook_seq, "notebook_seq"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("sessions"));
   int64_t session_count = 0;
-  ATENA_RETURN_IF_ERROR(reader.ReadCount(&session_count, "session"));
-  out.sessions.reserve(static_cast<size_t>(session_count));
+  ATENA_RETURN_IF_ERROR(in.ReadCount(&session_count, "session"));
   for (int64_t i = 0; i < session_count; ++i) {
-    JournalSessionState s;
-    ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("session"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.id, "session id"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.seed, "session seed"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.max_steps, "session max_steps"));
-    ATENA_RETURN_IF_ERROR(reader.ReadBool(&s.greedy, "session greedy flag"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.gen, "session generation"));
+    JournalSessionState& s = out.sessions.emplace_back();
+    ATENA_RETURN_IF_ERROR(in.ExpectKeyword("session"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.id, "session id"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.seed, "session seed"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.max_steps, "session max_steps"));
+    ATENA_RETURN_IF_ERROR(in.ReadBool(&s.greedy, "session greedy flag"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.gen, "session generation"));
     if (s.gen >= out.generation_paths.size()) {
-      return reader.Fail("session generation out of range");
+      return in.Fail("session generation out of range");
     }
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.steps_done, "session steps_done"));
-    ATENA_RETURN_IF_ERROR(reader.Read(&s.stage, "session stage"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.steps_done, "session steps_done"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.stage, "session stage"));
     ATENA_RETURN_IF_ERROR(
-        reader.Read(&s.degraded_steps, "session degraded_steps"));
-    ATENA_RETURN_IF_ERROR(
-        reader.Read(&s.episode_steps, "session episode_steps"));
-    ATENA_RETURN_IF_ERROR(
-        reader.ReadF64(&s.total_reward, "session total_reward"));
-    ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("env_rng"));
-    ATENA_RETURN_IF_ERROR(reader.ReadRng(&s.env_rng));
-    ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("act_rng"));
-    ATENA_RETURN_IF_ERROR(reader.ReadRng(&s.act_rng));
-    ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("trace"));
+        in.Read(&s.degraded_steps, "session degraded_steps"));
+    ATENA_RETURN_IF_ERROR(in.Read(&s.episode_steps, "session episode_steps"));
+    ATENA_RETURN_IF_ERROR(in.ReadF64(&s.total_reward, "session total_reward"));
+    ATENA_RETURN_IF_ERROR(in.ExpectKeyword("env_rng"));
+    ATENA_RETURN_IF_ERROR(in.ReadRng(&s.env_rng));
+    ATENA_RETURN_IF_ERROR(in.ExpectKeyword("act_rng"));
+    ATENA_RETURN_IF_ERROR(in.ReadRng(&s.act_rng));
+    ATENA_RETURN_IF_ERROR(in.ExpectKeyword("trace"));
     int64_t trace_count = 0;
-    ATENA_RETURN_IF_ERROR(reader.ReadCount(&trace_count, "trace step"));
+    ATENA_RETURN_IF_ERROR(in.ReadCount(&trace_count, "trace step"));
     if (s.episode_steps < 0 || s.episode_steps > trace_count) {
-      return reader.Fail("episode_steps out of range");
+      return in.Fail("episode_steps out of range");
     }
-    s.trace.reserve(static_cast<size_t>(trace_count));
     for (int64_t t = 0; t < trace_count; ++t) {
-      JournalStep step;
-      ATENA_RETURN_IF_ERROR(reader.ReadStep(&step));
-      s.trace.push_back(std::move(step));
+      ATENA_RETURN_IF_ERROR(ReadStep(in, &s.trace.emplace_back()));
     }
-    out.sessions.push_back(std::move(s));
   }
-  ATENA_RETURN_IF_ERROR(reader.ExpectKeyword("end"));
+  ATENA_RETURN_IF_ERROR(in.ExpectKeyword("end"));
   *snap = std::move(out);
   return Status::OK();
 }
@@ -748,42 +366,34 @@ Status DecodeSnapPayload(const std::string& payload, JournalSnapshot* snap) {
 // ---------------------------------------------------------------------------
 // Record framing.
 
+/// "ATJ <type> <crc32-8hex> <payload-bytes>\n".
+std::string FrameHeader(const char* type, uint32_t crc, size_t size) {
+  std::string header;
+  TokenWriter(header).Word("ATJ").Word(type).Crc(crc).Int(size).Nl();
+  return header;
+}
+
 std::string FrameRecord(const char* type, const std::string& payload) {
-  char crc_hex[9];
-  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(payload));
-  std::string framed = "ATJ ";
-  framed += type;
-  framed += " ";
-  framed += crc_hex;
-  framed += " ";
-  framed += std::to_string(payload.size());
-  framed += "\n";
+  std::string framed = FrameHeader(type, Crc32(payload), payload.size());
   framed += payload;
-  framed += "\n";
+  framed += '\n';
   return framed;
 }
 
-/// Parses one "ATJ <type> <crc> <size>" frame-header line. Strict: exactly
-/// four tokens, the checksum exactly 8 lowercase hex digits — so any byte
-/// flip inside the header is itself detected.
+/// Parses one frame-header line. Strict: exactly four tokens, the checksum
+/// exactly 8 lowercase hex digits — so any byte flip inside the header is
+/// itself detected.
 bool ParseFrameHeader(std::string_view line, std::string* type,
                       uint32_t* crc, uint64_t* size) {
-  std::istringstream in{std::string(line)};
-  std::string magic, crc_hex, extra;
-  if (!(in >> magic >> *type >> crc_hex >> *size)) return false;
-  if (in >> extra) return false;
-  if (magic != "ATJ" || crc_hex.size() != 8) return false;
-  uint32_t declared = 0;
-  for (char c : crc_hex) {
-    if (c >= '0' && c <= '9') {
-      declared = declared * 16 + static_cast<uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      declared = declared * 16 + static_cast<uint32_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
+  TokenReader in(line, "journal frame");
+  std::string_view magic, type_token;
+  if (!in.Token(&magic, "frame magic").ok() || magic != "ATJ" ||
+      !in.Token(&type_token, "frame type").ok() ||
+      !in.ReadCrc(crc, "frame checksum").ok() ||
+      !in.Read(size, "frame size").ok() || !in.AtEnd()) {
+    return false;
   }
-  *crc = declared;
+  *type = type_token;
   return true;
 }
 
@@ -835,9 +445,7 @@ Status DecodeRecord(const std::string& type, const std::string& payload,
 }  // namespace
 
 void JournalTickBuilder::AddQuarantine(uint64_t id) {
-  body_ += "q ";
-  Num(body_, id);
-  Nl(body_);
+  TokenWriter(body_).Word("q").Int(id).Nl();
   ++entries_;
 }
 
@@ -845,8 +453,12 @@ void JournalTickBuilder::AddStep(uint64_t id, int end, int stage_after,
                                  const JournalRng& env, const JournalRng& act,
                                  const EdaOperation& op, bool valid,
                                  double reward, uint64_t display_signature) {
-  EncodeTickEntryStep(body_, id, end, stage_after, env, act, op, valid,
-                      reward, display_signature);
+  TokenWriter out(body_);
+  out.Word("s").Int(id).Int(end).Int(stage_after);
+  WriteJournalRng(out, env);
+  WriteJournalRng(out, act);
+  WriteStep(out, op, valid, reward, display_signature);
+  out.Nl();
   ++entries_;
 }
 
@@ -909,7 +521,10 @@ Result<JournalContents> ReadJournal(const std::string& path) {
       break;
     }
     const size_t payload_start = header_end + 1;
-    if (payload_start + size + 1 > content.size()) {
+    // Compared without adding to `size`, which a corrupt header may set
+    // near 2^64.
+    if (payload_start >= content.size() ||
+        size > content.size() - payload_start - 1) {
       out.clean_tail = false;  // torn payload
       break;
     }
@@ -972,7 +587,7 @@ Status SessionJournal::Append(const char* type, const std::string& payload) {
   if (!appender_.is_open()) {
     ATENA_RETURN_IF_ERROR(appender_.Open(path_));
   }
-  ATENA_RETURN_IF_ERROR(appender_.Append(framed));
+  ATENA_RETURN_IF_ERROR(appender_.AppendParts({framed}));
   appended_bytes_ += static_cast<int64_t>(framed.size());
   return Status::OK();
 }
@@ -989,25 +604,23 @@ Status SessionJournal::AppendReload(const JournalReload& reload) {
 
 Status SessionJournal::AppendTick(const JournalTickBuilder& builder,
                                  bool overloaded) {
-  // Frame + payload header land in one stack buffer; the builder's body
-  // is never copied — the CRC streams over both pieces and one gather
-  // write moves them into the kernel. The bytes on disk are exactly
+  // The builder's body is never copied: the CRC streams over the payload
+  // header and the body, and one gather write moves the frame header,
+  // both pieces and the trailing newline into the kernel. The bytes on
+  // disk are exactly
   // FrameRecord("tick", TickPayloadHeader(...) + body).
   const std::string header = TickPayloadHeader(overloaded, builder.entries());
   const std::string& body = builder.body();
-  const uint32_t crc = Crc32Extend(Crc32Extend(0, header), body);
-  char prefix[64];
-  const int prefix_len = std::snprintf(
-      prefix, sizeof(prefix), "ATJ tick %08x %zu\n", crc,
-      header.size() + body.size());
+  const std::string frame =
+      FrameHeader("tick", Crc32Extend(Crc32Extend(0, header), body),
+                  header.size() + body.size());
   if (!appender_.is_open()) {
     ATENA_RETURN_IF_ERROR(appender_.Open(path_));
   }
   ATENA_RETURN_IF_ERROR(appender_.AppendParts(
-      {std::string_view(prefix, static_cast<size_t>(prefix_len)), header,
-       body, std::string_view("\n", 1)}));
-  appended_bytes_ += static_cast<int64_t>(static_cast<size_t>(prefix_len) +
-                                          header.size() + body.size() + 1);
+      {frame, header, body, std::string_view("\n", 1)}));
+  appended_bytes_ += static_cast<int64_t>(frame.size() + header.size() +
+                                          body.size() + 1);
   return Status::OK();
 }
 

@@ -1,4 +1,4 @@
-// Crash-safety tests for the ATENA-CKPT v1 training checkpoint subsystem:
+// Crash-safety tests for the ATENA-CKPT v2 training checkpoint subsystem:
 // resume bit-identity (an interrupted-and-resumed run must be
 // indistinguishable from an uninterrupted one), rotation, fault injection
 // on the save path, and truncation recovery on the load path.
@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -93,6 +95,12 @@ TrainerOptions BaseOptions() {
   return options;
 }
 
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
 void ExpectOpsEqual(const std::vector<EdaOperation>& a,
                     const std::vector<EdaOperation>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -101,7 +109,14 @@ void ExpectOpsEqual(const std::vector<EdaOperation>& a,
     EXPECT_EQ(a[i].filter.column, b[i].filter.column) << "op " << i;
     EXPECT_EQ(a[i].filter.op, b[i].filter.op) << "op " << i;
     EXPECT_EQ(a[i].filter.term_bin, b[i].filter.term_bin) << "op " << i;
-    EXPECT_TRUE(a[i].filter.term == b[i].filter.term) << "op " << i;
+    if (a[i].filter.term.is_double() && b[i].filter.term.is_double()) {
+      // Bit for bit, so NaN payloads and the sign of zero count too.
+      EXPECT_EQ(DoubleBits(a[i].filter.term.as_double()),
+                DoubleBits(b[i].filter.term.as_double()))
+          << "op " << i;
+    } else {
+      EXPECT_TRUE(a[i].filter.term == b[i].filter.term) << "op " << i;
+    }
     EXPECT_EQ(a[i].group.group_column, b[i].group.group_column) << "op " << i;
     EXPECT_EQ(a[i].group.agg, b[i].group.agg) << "op " << i;
     EXPECT_EQ(a[i].group.agg_column, b[i].group.agg_column) << "op " << i;
@@ -400,7 +415,7 @@ TEST_F(CheckpointContainerTest, RotationKeepsPreviousSnapshot) {
   ASSERT_TRUE(LoadTrainingCheckpoint(path_, Params(), &head).ok());
   // Loading the .prev file directly (as the fallback would).
   std::string prev_payload;
-  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v1",
+  ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
                                   &prev_payload)
                   .ok());
   ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),
@@ -421,6 +436,11 @@ TEST_F(CheckpointContainerTest, RoundTripPreservesEverything) {
   for (size_t k = 0; k < params.size(); ++k) {
     params[k]->value = loaded.param_values[k];
   }
+  // Filter terms no decimal spelling carries exactly: a NaN and a -0.0.
+  loaded.best_episode_ops.push_back(EdaOperation::Filter(
+      0, CompareOp::kEq, Value(std::numeric_limits<double>::quiet_NaN()), 1));
+  loaded.best_episode_ops.push_back(
+      EdaOperation::Filter(1, CompareOp::kNeq, Value(-0.0), 0));
   std::string payload = EncodeCheckpointPayload(params, loaded);
   TrainingCheckpoint again;
   ASSERT_TRUE(
@@ -461,6 +481,27 @@ TEST_F(CheckpointContainerTest, RoundTripPreservesEverything) {
   }
 }
 
+TEST_F(CheckpointContainerTest, RetiredV1ContainerIsRejected) {
+  // A well-formed, correctly checksummed container under the retired
+  // ATENA-CKPT v1 magic is refused by version — InvalidArgument — and the
+  // network keeps its weights.
+  std::string payload;
+  ASSERT_TRUE(ReadChecksummedFile(path_, "ATENA-CKPT v2", &payload).ok());
+  const std::string v1_path = TempPath("retired_v1.ckpt");
+  RemoveCheckpointFamily(v1_path);
+  ASSERT_TRUE(WriteChecksummedFile(v1_path, "ATENA-CKPT v1", payload).ok());
+  std::vector<std::vector<double>> before;
+  for (Parameter* p : Params()) before.push_back(p->value.data());
+
+  EXPECT_EQ(LoadPolicyParameters(v1_path, Params()).code(),
+            StatusCode::kInvalidArgument);
+  std::vector<Parameter*> params = Params();
+  for (size_t k = 0; k < params.size(); ++k) {
+    EXPECT_EQ(params[k]->value.data(), before[k]) << "parameter " << k;
+  }
+  RemoveCheckpointFamily(v1_path);
+}
+
 TEST_F(CheckpointContainerTest, TruncationAtEveryOffsetRecoversOrFailsClean) {
   std::string full;
   ASSERT_TRUE(ReadFileToString(path_, &full).ok());
@@ -468,7 +509,7 @@ TEST_F(CheckpointContainerTest, TruncationAtEveryOffsetRecoversOrFailsClean) {
   TrainingCheckpoint prev_image;
   {
     std::string prev_payload;
-    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v1",
+    ASSERT_TRUE(ReadChecksummedFile(path_ + ".prev", "ATENA-CKPT v2",
                                     &prev_payload)
                     .ok());
     ASSERT_TRUE(DecodeCheckpointPayload(prev_payload, Params(),

@@ -135,14 +135,29 @@ TEST(SerializationTest, GarbageFileIsRejected) {
                             "3 -0.75\n"
                             "1 1\n"
                             "0.0625\n";
+  // So is a well-formed block in the retired decimal v2 text format.
+  const std::string v2_path = TempPath("legacy_v2.nn");
+  std::ofstream(v2_path) << "ATENA-NN v2\n"
+                            "4\n"
+                            "mlp.0.weight 2 2\n"
+                            "0.5 -0.25 1.5 2\n"
+                            "mlp.0.bias 1 2\n"
+                            "0.125 -1\n"
+                            "mlp.1.weight 1 2\n"
+                            "3 -0.75\n"
+                            "mlp.1.bias 1 1\n"
+                            "-2.5\n";
   std::vector<std::vector<double>> before;
   for (const Parameter* p : store.All()) before.push_back(p->value.data());
-  EXPECT_EQ(LoadParameters(&store, v1_path).code(),
-            StatusCode::kInvalidArgument);
-  auto after = store.All();
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t k = 0; k < after.size(); ++k) {
-    EXPECT_EQ(after[k]->value.data(), before[k]) << after[k]->name;
+  for (const std::string& legacy : {v1_path, v2_path}) {
+    EXPECT_EQ(LoadParameters(&store, legacy).code(),
+              StatusCode::kInvalidArgument)
+        << legacy;
+    auto after = store.All();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t k = 0; k < after.size(); ++k) {
+      EXPECT_EQ(after[k]->value.data(), before[k]) << after[k]->name;
+    }
   }
 }
 

@@ -287,6 +287,21 @@ TEST(ServeJournalTest, JournaledRunWritesAParseableJournal) {
   EXPECT_GT(stats.journal_bytes, 0);
   EXPECT_EQ(stats.journal_failures, 0);
   EXPECT_EQ(stats.journal_compactions, 1);  // The lazy initial start.
+
+  // A correctly framed admit whose unsigned seed is spelled "-1" is a
+  // malformed payload, not seed 2^64-1: prefix semantics drop it.
+  const std::string bad_admit = "3 -1 6 0 0\n";
+  char crc_hex[9];
+  std::snprintf(crc_hex, sizeof(crc_hex), "%08x", Crc32(bad_admit));
+  ASSERT_TRUE(AppendDurableFile(path, "ATJ admit " + std::string(crc_hex) +
+                                          " " +
+                                          std::to_string(bad_admit.size()) +
+                                          "\n" + bad_admit + "\n")
+                  .ok());
+  Result<JournalContents> reparsed = ReadJournal(path);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.value().records.size(), contents.records.size());
+  EXPECT_FALSE(reparsed.value().clean_tail);
   CleanJournalFamily(path);
 }
 
