@@ -523,61 +523,97 @@ TEST(ServeRecoveryTest, DegradationLadderStateSurvivesRecovery) {
   const std::string path = TempPath("serve_journal_degraded.jnl");
   CleanJournalFamily(path);
 
-  // The victim overruns its first two steps, walking kNormal →
-  // kNoDiversity → kGreedy, then stays (sticky) at kGreedy — a session
-  // whose mid-ladder state must survive the crash.
-  static constexpr int64_t kDeadline = 1000;
-  auto victim_id = std::make_shared<uint64_t>(0);
-  auto build_options = [&](const std::string& journal) {
-    ServeOptions options;
-    options.journal_path = journal;
-    options.step_deadline_nanos = kDeadline;
-    options.fault_injection.step_duration_nanos =
-        [victim_id](uint64_t session_id, int step_index) -> int64_t {
-      return (session_id == *victim_id && step_index < 2) ? 5 * kDeadline
-                                                          : kDeadline / 10;
-    };
-    return options;
-  };
   std::vector<SessionConfig> configs;
-  for (uint64_t seed : {700, 701, 702}) {
+  for (uint64_t seed : {700, 701, 702, 703, 704}) {
     SessionConfig config;
     config.seed = seed;
     config.max_steps = 8;
     configs.push_back(config);
   }
-  const size_t victim = 1;
+  // Three victims, by admission index:
+  //  - the ladder victim overruns its first two steps, walking kNormal →
+  //    kNoDiversity → kGreedy, then stays (sticky) at kGreedy — a session
+  //    whose mid-ladder state must survive the crash;
+  //  - the deadline victim overruns its first three steps and is retired
+  //    past the last stage before the crash;
+  //  - the quarantine victim's second step faults, so it is quarantined
+  //    before the crash.
+  // Both retirements are tick entries appended after the journal's last
+  // compaction, so recovery replays them and re-delivers their outcomes.
+  static constexpr size_t kLadder = 1, kDeadlineVictim = 3,
+                          kQuarantineVictim = 4;
+  static constexpr int64_t kDeadline = 1000;
+  auto ids = std::make_shared<std::vector<uint64_t>>(configs.size(), 0);
+  auto build_options = [&](const std::string& journal) {
+    ServeOptions options;
+    options.journal_path = journal;
+    options.step_deadline_nanos = kDeadline;
+    options.notebook_store = std::make_shared<NotebookStore>();
+    options.fault_injection.step_duration_nanos =
+        [ids](uint64_t session_id, int step_index) -> int64_t {
+      const bool overrun =
+          (session_id == (*ids)[kLadder] && step_index < 2) ||
+          (session_id == (*ids)[kDeadlineVictim] && step_index < 3);
+      return overrun ? 5 * kDeadline : kDeadline / 10;
+    };
+    options.fault_injection.env_step =
+        [ids](uint64_t session_id, int step_index) {
+          return session_id == (*ids)[kQuarantineVictim] && step_index == 1
+                     ? Status::Internal("injected env fault")
+                     : Status::OK();
+        };
+    return options;
+  };
+  auto admit_all = [&](SessionManager& manager) {
+    for (size_t i = 0; i < configs.size(); ++i) {
+      (*ids)[i] = MustAdmit(manager, configs[i]);
+    }
+  };
 
   // Uninterrupted reference run (injected durations are deterministic).
   std::map<uint64_t, SessionOutcome> reference;
+  ServeStats reference_stats;
   {
     SessionManager manager(snapshot, build_options(""));
-    for (size_t i = 0; i < configs.size(); ++i) {
-      const uint64_t id = MustAdmit(manager, configs[i]);
-      if (i == victim) *victim_id = id;
-    }
+    admit_all(manager);
     manager.Drain();
     for (auto& outcome : manager.TakeCompleted()) {
       reference[outcome.trace.seed] = std::move(outcome);
     }
+    reference_stats = manager.stats();
   }
   ASSERT_EQ(reference.size(), configs.size());
   EXPECT_EQ(reference.at(701).final_stage, DegradeStage::kGreedy);
   EXPECT_GT(reference.at(701).degraded_steps, 0);
+  EXPECT_EQ(reference.at(703).reason, RetireReason::kDeadlineExceeded);
+  EXPECT_EQ(reference.at(704).reason, RetireReason::kQuarantined);
 
-  // Crashed run, killed with the victim mid-ladder at kGreedy.
+  // Crashed run, killed with the ladder victim mid-ladder at kGreedy and
+  // the other two victims already retired.
   std::map<uint64_t, SessionOutcome> merged;
   {
     SessionManager manager(snapshot, build_options(path));
-    for (size_t i = 0; i < configs.size(); ++i) {
-      const uint64_t id = MustAdmit(manager, configs[i]);
-      if (i == victim) *victim_id = id;
-    }
+    admit_all(manager);
     for (int t = 0; t < 4; ++t) manager.Tick();
     MergeOutcomes(&merged, manager.TakeCompleted(), table, "pre-crash");
   }
+  ASSERT_EQ(merged.size(), 2u);
   SessionManager recovered(snapshot, build_options(path));
   MustRecover(recovered, path);
+  // The replayed retirements come back first. Their status text says the
+  // fault detail was not journaled; everything else is the reference's.
+  std::vector<SessionOutcome> redelivered = recovered.TakeCompleted();
+  ASSERT_EQ(redelivered.size(), 2u);
+  for (const SessionOutcome& outcome : redelivered) {
+    const SessionOutcome& want = reference.at(outcome.trace.seed);
+    const std::string context =
+        "re-delivered seed " + std::to_string(outcome.trace.seed);
+    EXPECT_EQ(outcome.reason, want.reason) << context;
+    EXPECT_EQ(outcome.final_stage, want.final_stage) << context;
+    EXPECT_EQ(outcome.degraded_steps, want.degraded_steps) << context;
+    ExpectTracesEqual(outcome.trace, want.trace, table, context);
+  }
+  MergeOutcomes(&merged, std::move(redelivered), table, "re-delivered");
   recovered.Drain();
   MergeOutcomes(&merged, recovered.TakeCompleted(), table, "recovered");
 
@@ -590,6 +626,18 @@ TEST(ServeRecoveryTest, DegradationLadderStateSurvivesRecovery) {
     EXPECT_EQ(outcome.degraded_steps, want.degraded_steps) << context;
     ExpectTracesEqual(outcome.trace, want.trace, table, context);
   }
+
+  // Replay books every retirement and ladder step exactly as serving did.
+  const ServeStats& got = recovered.stats();
+  EXPECT_EQ(got.admitted, reference_stats.admitted);
+  EXPECT_EQ(got.completed, reference_stats.completed);
+  EXPECT_EQ(got.quarantined, reference_stats.quarantined);
+  EXPECT_EQ(got.deadline_retired, reference_stats.deadline_retired);
+  EXPECT_EQ(got.degrade_transitions, reference_stats.degrade_transitions);
+  EXPECT_EQ(got.degraded_steps, reference_stats.degraded_steps);
+  EXPECT_EQ(got.degraded_greedy_steps, reference_stats.degraded_greedy_steps);
+  EXPECT_EQ(got.notebooks_registered, reference_stats.notebooks_registered);
+  EXPECT_GT(reference_stats.notebooks_registered, 0);
   CleanJournalFamily(path);
 }
 
