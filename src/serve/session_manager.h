@@ -434,14 +434,22 @@ class SessionManager {
   /// and is discarded.
   void Retire(size_t index, RetireReason reason, Status status,
               bool env_healthy);
-  /// One ladder escalation for sessions_[index]; retires on overflow.
-  /// Returns true when the session was retired.
-  bool EscalateDegrade(size_t index);
+  /// Commits one executed step of sessions_[index] — the one commit path
+  /// of both Tick and journal replay: appends `recorded` to the trace,
+  /// books the step (degraded counters at the stage it ran at), moves the
+  /// session to `stage_after` (a JournalTickEntry::End `end` of
+  /// kDeadlineRetired counts one more transition), then retires it when
+  /// `end` says so, or else resets it at an episode boundary (`done`) or
+  /// adopts `observation`.
+  void CommitStep(size_t index, ServedStep recorded, bool done,
+                  std::vector<double> observation, DegradeStage stage_after,
+                  int end);
   /// Registers the session's current display-vector sequence in the
   /// notebook store (no-op without a store; the store skips sequences
   /// below its minimum length).
   void RegisterNotebook(const Session& session);
-  void LogSessionEvent(const char* type, const Session& session,
+  /// Appends a per-session health event reporting `step` as its step.
+  void LogSessionEvent(const char* type, const Session& session, int step,
                        const std::string& extra);
 
   // --- Durability (DESIGN.md §15). All no-ops without a journal_path. ---
@@ -471,6 +479,13 @@ class SessionManager {
                                RecoveryInfo* info);
   Status ReplayJournalRecord(const JournalRecord& record, RecoveryInfo* info);
   Status ReplayJournalTick(const JournalTick& tick, RecoveryInfo* info);
+  /// Index of the live session `id`; InvalidArgument naming the journal
+  /// record kind that referenced it when there is none.
+  Result<size_t> FindSession(uint64_t id, const char* record_kind) const;
+  /// Loads policy generation `gen` from `path` for recovery (IOError on
+  /// failure). ReloadSnapshot loads on its own, under its retry budget.
+  Result<std::shared_ptr<const PolicySnapshot>> LoadGeneration(
+      uint32_t gen, const std::string& path) const;
 
   std::shared_ptr<const PolicySnapshot> snapshot_;
   ServeOptions options_;

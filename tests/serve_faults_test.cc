@@ -702,5 +702,44 @@ TEST(ServeHealthLogTest, FaultDomainEventsAreLogged) {
   RemoveIfExists(log_path);
 }
 
+TEST(ServeHealthLogTest, LadderEventsNameTheOverrunningStep) {
+  const std::string log_path = TempPath("serve_health_ladder.jsonl");
+  RemoveIfExists(log_path);
+  auto snapshot = SmallSnapshot();
+
+  // The session's first three steps overrun: two ladder moves, then the
+  // deadline retire. Each event reports the step that overran (1-based).
+  static constexpr int64_t kDeadline = 1000;
+  ServeOptions options;
+  options.health_log_path = log_path;
+  options.step_deadline_nanos = kDeadline;
+  options.fault_injection.step_duration_nanos = [](uint64_t, int step_index) {
+    return step_index < 3 ? 5 * kDeadline : kDeadline / 10;
+  };
+  SessionManager manager(snapshot, options);
+  SessionConfig config;
+  config.seed = 90;
+  config.max_steps = 8;
+  const std::string session =
+      "\"session\":" + std::to_string(MustAdmit(manager, config)) +
+      ",\"seed\":90";
+  manager.Drain();
+
+  std::string log;
+  ASSERT_TRUE(ReadFileToString(log_path, &log).ok());
+  size_t at = 0;
+  for (const std::string& want :
+       {"\"type\":\"degrade\"," + session +
+            ",\"step\":1,\"stage\":\"no_diversity\"}",
+        "\"type\":\"degrade\"," + session +
+            ",\"step\":2,\"stage\":\"greedy\"}",
+        "\"type\":\"deadline_retire\"," + session +
+            ",\"step\":3,\"stage\":\"greedy\"}"}) {
+    at = log.find(want, at);
+    EXPECT_NE(at, std::string::npos) << "missing " << want << " in:\n" << log;
+  }
+  RemoveIfExists(log_path);
+}
+
 }  // namespace
 }  // namespace atena
