@@ -8,33 +8,14 @@
 #include <utility>
 #include <vector>
 
-#include "bench_util.h"
-
 namespace atena {
 namespace bench {
 
-/// Attaches p50/p95/p99 latency counters (milliseconds) computed from
-/// per-event durations in seconds. Counters flow into the console table
-/// and — via JsonFileReporter below — into the BENCH_*.json summary, so
-/// any bench binary that collects per-step/per-query samples reports tail
-/// latency the same way.
-inline void AddLatencyPercentiles(benchmark::State& state,
-                                  const std::vector<double>& seconds,
-                                  const std::string& prefix = "latency") {
-  const double to_ms = 1e3;
-  state.counters[prefix + "_p50_ms"] =
-      benchmark::Counter(Percentile(seconds, 50.0) * to_ms);
-  state.counters[prefix + "_p95_ms"] =
-      benchmark::Counter(Percentile(seconds, 95.0) * to_ms);
-  state.counters[prefix + "_p99_ms"] =
-      benchmark::Counter(Percentile(seconds, 99.0) * to_ms);
-}
-
 /// Console reporter that additionally records every iteration run and, at
 /// Finalize, writes a compact machine-readable JSON summary (per-iteration
-/// times, items/sec and all user counters such as cache_hit_rate). The
-/// micro-bench binaries write BENCH_env.json / BENCH_dataframe.json next to
-/// their working directory so the perf trajectory is tracked across PRs.
+/// times, items/sec and all user counters). The substrate micro-bench
+/// binaries write BENCH_dataframe.json / BENCH_nn.json / BENCH_index.json
+/// into their working directory.
 class JsonFileReporter : public benchmark::ConsoleReporter {
  public:
   explicit JsonFileReporter(std::string path) : path_(std::move(path)) {}

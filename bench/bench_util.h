@@ -1,8 +1,6 @@
 #ifndef ATENA_BENCH_BENCH_UTIL_H_
 #define ATENA_BENCH_BENCH_UTIL_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -42,22 +40,6 @@ inline Result<std::vector<std::vector<ViewSignature>>> GoldViews(
     views.push_back(NotebookSignatures(notebook));
   }
   return views;
-}
-
-/// The `p`-th percentile (p in [0, 100]) of `samples` with linear
-/// interpolation between closest ranks. Takes the vector by value: the
-/// sort happens on the copy, so callers can keep accumulating into their
-/// own buffer between calls. Returns 0 for an empty sample set.
-inline double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double clamped = std::min(100.0, std::max(0.0, p));
-  const double rank =
-      clamped / 100.0 * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(rank);
-  const size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
 }
 
 /// Prints one row of a fixed-width table.

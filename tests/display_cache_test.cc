@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/twofold_policy.h"
 #include "data/registry.h"
+#include "dataframe/column.h"
 #include "eda/environment.h"
 #include "reward/compound.h"
 #include "rl/parallel_trainer.h"
@@ -261,28 +263,36 @@ TEST(DisplayCacheTest, SnapshotIsInternallyConsistentUnderLoad) {
 }
 
 TEST(CacheDeterminismTest, CachedEpisodesMatchUncachedBitwise) {
-  auto dataset = MakeDataset("cyber2");
-  ASSERT_TRUE(dataset.ok());
-  EdaEnvironment cached(dataset.value(), CacheTestConfig(3, true));
-  EdaEnvironment uncached(dataset.value(), CacheTestConfig(3, false));
-  ASSERT_NE(cached.display_cache(), nullptr);
-  ASSERT_EQ(uncached.display_cache(), nullptr);
-  auto cached_reward = MakeStandardReward(&cached);
-  auto uncached_reward = MakeStandardReward(&uncached);
-  ASSERT_TRUE(cached_reward.ok());
-  ASSERT_TRUE(uncached_reward.ok());
-  cached.SetRewardSignal(cached_reward.value().get());
-  uncached.SetRewardSignal(uncached_reward.value().get());
+  // cyber4 at scale 2 spans several column chunks and more rows than
+  // stats_row_cap, so its displays take the sampled-statistics path.
+  std::vector<Dataset> datasets = {MakeDataset("cyber2").value(),
+                                   MakeDataset("cyber4", 2).value()};
+  ASSERT_GT(datasets[1].table->num_rows(), 2 * kColumnChunkSize);
+  ASSERT_GT(datasets[1].table->num_rows(),
+            CacheTestConfig(3, true).stats_row_cap);
+  for (const Dataset& dataset : datasets) {
+    const std::string& id = dataset.info.id;
+    EdaEnvironment cached(dataset, CacheTestConfig(3, true));
+    EdaEnvironment uncached(dataset, CacheTestConfig(3, false));
+    ASSERT_NE(cached.display_cache(), nullptr);
+    ASSERT_EQ(uncached.display_cache(), nullptr);
+    auto cached_reward = MakeStandardReward(&cached);
+    auto uncached_reward = MakeStandardReward(&uncached);
+    ASSERT_TRUE(cached_reward.ok());
+    ASSERT_TRUE(uncached_reward.ok());
+    cached.SetRewardSignal(cached_reward.value().get());
+    uncached.SetRewardSignal(uncached_reward.value().get());
 
-  // Several episodes so later ones replay cached prefixes of earlier ones.
-  for (uint64_t episode = 0; episode < 6; ++episode) {
-    auto actions = RandomActions(cached.action_space(), 100 + episode, 8);
-    EXPECT_EQ(RunTrace(&cached, actions), RunTrace(&uncached, actions))
-        << "episode " << episode;
+    // Several episodes so later ones replay cached prefixes of earlier ones.
+    for (uint64_t episode = 0; episode < 6; ++episode) {
+      auto actions = RandomActions(cached.action_space(), 100 + episode, 8);
+      EXPECT_EQ(RunTrace(&cached, actions), RunTrace(&uncached, actions))
+          << id << " episode " << episode;
+    }
+    // The cache must actually have been exercised for this test to mean
+    // anything.
+    EXPECT_GT(cached.display_cache()->stats().hits, 0u) << id;
   }
-  // The cache must actually have been exercised for this test to mean
-  // anything.
-  EXPECT_GT(cached.display_cache()->stats().hits, 0u);
 }
 
 TEST(CacheDeterminismTest, SharedCacheAcrossActorsMatchesUncached) {
