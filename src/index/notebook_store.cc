@@ -209,7 +209,9 @@ Result<NotebookStore> NotebookStore::Load(const std::string& path) {
       !ReadU64(payload, &pos, &min_len) || !ReadU64(payload, &pos, &count)) {
     return Status::IOError("notebook store " + path + ": truncated header");
   }
-  if (branching < 2 || leaf_capacity < 1 || kmeans_iterations < 1) {
+  if (branching < 2 || branching > kMaxBranching || leaf_capacity < 1 ||
+      leaf_capacity > kMaxLeafCapacity || kmeans_iterations < 1 ||
+      kmeans_iterations > kMaxKmeansIterations) {
     return Status::InvalidArgument("notebook store " + path +
                                    ": implausible options");
   }
@@ -227,6 +229,12 @@ Result<NotebookStore> NotebookStore::Load(const std::string& path) {
     if (!ReadU64(payload, &pos, &session_id) ||
         !ReadU64(payload, &pos, &session_seed) ||
         !ReadU32(payload, &pos, &length)) {
+      return Status::IOError("notebook store " + path +
+                             ": truncated notebook " + std::to_string(i));
+    }
+    // Every display vector costs at least its 4-byte dimension, so a
+    // length the remaining payload cannot hold is a lie, not a reserve.
+    if (length > (payload.size() - pos) / sizeof(uint32_t)) {
       return Status::IOError("notebook store " + path +
                              ": truncated notebook " + std::to_string(i));
     }

@@ -79,9 +79,21 @@ class NotebookStore {
   Entry entry(uint64_t notebook_id) const;
   std::vector<std::vector<double>> sequence(uint64_t notebook_id) const;
 
+  /// Load's upper bounds on the saved index options. A sidecar is
+  /// untrusted input even when its CRC checks out, and these cap what
+  /// replaying its registrations can cost; a store built with larger
+  /// options saves a file Load rejects.
+  static constexpr uint32_t kMaxBranching = 1024;
+  static constexpr uint32_t kMaxLeafCapacity = 1 << 16;
+  static constexpr uint32_t kMaxKmeansIterations = 1024;
+
   /// Persists the corpus (entries + sequences) as a CRC-framed container;
   /// Load rebuilds the centroid index and duplicate table by replaying
-  /// registrations, so a loaded store answers queries identically.
+  /// registrations, so a loaded store answers queries identically. Load
+  /// fails with a Status, never aborts, on any malformed payload: options
+  /// outside [2, kMaxBranching] / [1, kMaxLeafCapacity] /
+  /// [1, kMaxKmeansIterations] are InvalidArgument, and a count or length
+  /// the payload cannot hold is IOError.
   Status Save(const std::string& path) const;
   static Result<NotebookStore> Load(const std::string& path);
 

@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/math_utils.h"
 #include "common/random.h"
 #include "data/registry.h"
@@ -409,6 +411,32 @@ TEST(NotebookStoreTest, SaveLoadRoundTrip) {
     EXPECT_EQ(got[i].distance, want[i].distance);
   }
   EXPECT_EQ(loaded.value().FindDuplicate(store.sequence(3)), 3);
+  std::remove(path.c_str());
+}
+
+TEST(NotebookStoreTest, LoadRejectsFieldsThePayloadCannotBack) {
+  NotebookStore store;
+  ASSERT_GE(store.Register(1, 10, Notebook({0.5, 0.5}, 3)), 0);
+  const std::string path = TempPath("notebook_store_fields.bin");
+  ASSERT_TRUE(store.Save(path).ok());
+  const std::string magic = "ATENA-NBSTORE v1";
+  std::string payload;
+  ASSERT_TRUE(ReadChecksummedFile(path, magic, &payload).ok());
+
+  // Payload offsets: branching 0, leaf_capacity 4, kmeans_iterations 8,
+  // min length 12, count 20, then the first notebook's session id 28,
+  // seed 36 and length 44 (all little-endian, CRC-valid after rewrite).
+  auto load_with = [&](size_t offset, uint32_t value) {
+    std::string patched = payload;
+    std::memcpy(&patched[offset], &value, sizeof(value));
+    EXPECT_TRUE(WriteChecksummedFile(path, magic, patched).ok());
+    return NotebookStore::Load(path).status().code();
+  };
+  EXPECT_EQ(load_with(0, uint32_t{1} << 31), StatusCode::kInvalidArgument);
+  EXPECT_EQ(load_with(4, uint32_t{1} << 31), StatusCode::kInvalidArgument);
+  EXPECT_EQ(load_with(8, 0x7fffffffu), StatusCode::kInvalidArgument);
+  EXPECT_EQ(load_with(0, NotebookStore::kMaxBranching), StatusCode::kOk);
+  EXPECT_EQ(load_with(44, 0xffffffffu), StatusCode::kIOError);
   std::remove(path.c_str());
 }
 
